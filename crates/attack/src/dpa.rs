@@ -16,8 +16,8 @@ use emask_des::bits::permute;
 use emask_des::cipher::sbox_lookup;
 use emask_des::tables::{E, IP};
 use emask_par::{
-    merge_shards, par_map, run_sharded, run_sharded_snapshotted_cancellable, trial_seed,
-    CancelToken, Interrupted, Jobs,
+    fold_sharded, par_map, run_sharded_snapshotted_cancellable, trial_seed, CancelToken,
+    Interrupted, Jobs,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -322,7 +322,8 @@ where
 }
 
 /// Shards a streaming-DPA campaign across `jobs` workers: each shard folds
-/// its trials into a clone of `proto`, shards merge in fixed order.
+/// its trials into a clone of `proto`, and the shards fold into one
+/// running accumulator in fixed order as they complete.
 fn run_online_dpa<F>(
     oracle: &F,
     samples: usize,
@@ -334,26 +335,28 @@ where
     F: Fn(u64) -> Vec<f64> + Sync,
 {
     assert!(samples > 0, "need at least one sample");
-    let accs = run_sharded(jobs, samples, |_, range| {
-        let mut acc = proto.clone();
-        for i in range {
+    let acc = fold_sharded(
+        jobs,
+        samples,
+        &CancelToken::new(),
+        &proto,
+        |acc: &mut OnlineDpa, i| {
             let p = plaintext_for(seed, i as u64);
             acc.push(p, &oracle(p)).expect("oracle produced a misaligned trace");
-        }
-        acc
-    });
-    merge_shards(accs, |a, b| {
-        a.merge(&b).expect("shards saw traces of different widths");
-    })
-    .unwrap_or(proto)
-    .result()
+        },
+        |a, b| a.merge(b).expect("shards saw traces of different widths"),
+    );
+    match acc {
+        Ok(acc) => acc.unwrap_or(proto).result(),
+        Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
+    }
 }
 
 /// Parallel, single-pass [`recover_subkey`]: trace acquisition is sharded
 /// across `jobs` workers and each trace is folded straight into an
-/// [`OnlineDpa`] accumulator — memory stays O(guesses × trace_len)
-/// regardless of `cfg.samples`, and the result is bit-identical for any
-/// `jobs` value. Plaintexts come from [`plaintext_for`], so the trace set
+/// [`OnlineDpa`] accumulator — memory stays O((jobs + 1) × guesses ×
+/// trace_len) regardless of `cfg.samples`, and the result is
+/// bit-identical for any `jobs` value. Plaintexts come from [`plaintext_for`], so the trace set
 /// differs from the sequential-RNG [`recover_subkey`] at the same seed.
 ///
 /// # Panics
@@ -465,7 +468,7 @@ where
         cfg.samples,
         cadence,
         token,
-        || proto.clone(),
+        &proto,
         |acc: &mut OnlineDpa, i| {
             let p = plaintext_for(seed, i as u64);
             acc.push(p, &oracle(p)).expect("oracle produced a misaligned trace");

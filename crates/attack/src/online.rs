@@ -26,6 +26,7 @@ use crate::cpa::CpaResult;
 use crate::dpa::{result_from_peaks, sbox_chunk, DpaResult};
 use crate::stats::{peak, StatsError};
 use emask_des::cipher::sbox_lookup;
+use std::mem::size_of;
 
 /// Pointwise streaming mean/variance over equal-length traces
 /// (Welford's algorithm, one accumulator per cycle).
@@ -153,6 +154,13 @@ impl OnlineWelch {
         self.g1.merge(&other.g1)
     }
 
+    /// Bytes this accumulator holds once both groups have folded traces
+    /// of `width` samples: a mean and an `m2` vector per group. Admission
+    /// control budgets one of these per live shard accumulator.
+    pub fn footprint(&self, width: usize) -> usize {
+        size_of::<Self>() + 4 * width * size_of::<f64>()
+    }
+
     /// The pointwise Welch *t* statistic, with the same guards as the
     /// batch [`crate::stats::welch_t`]: zeros unless both groups have at
     /// least two traces, zero where the pooled deviation vanishes.
@@ -189,7 +197,7 @@ impl OnlineWelch {
 /// vector per (bit, guess) plus the total — and **independent of the
 /// sample count**, unlike the batch [`crate::dpa::analyze_bit`] path that
 /// retains the full trace matrix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct OnlineDpa {
     sbox: usize,
     /// The bit whose per-guess peak cycles the result reports (matches
@@ -252,6 +260,19 @@ impl OnlineDpa {
         self.n == 0
     }
 
+    /// Bytes this accumulator holds once it has folded traces of `width`
+    /// samples and every (bit, guess) group is populated: the shared total
+    /// plus one sum vector and count per slot — about 40 MB for the
+    /// multi-bit attack on the 19,383-cycle round-1 window. Admission
+    /// control budgets one of these per live shard accumulator.
+    pub fn footprint(&self, width: usize) -> usize {
+        let slot = size_of::<u64>() + size_of::<Vec<f64>>() + width * size_of::<f64>();
+        size_of::<Self>()
+            + self.bits.len() * size_of::<usize>()
+            + width * size_of::<f64>()
+            + self.n1.len() * slot
+    }
+
     /// Folds one `(plaintext, trace)` observation in.
     ///
     /// # Errors
@@ -260,7 +281,8 @@ impl OnlineDpa {
     /// the established width; the accumulator is left unchanged.
     pub fn push(&mut self, plaintext: u64, trace: &[f64]) -> Result<(), StatsError> {
         if self.n == 0 {
-            self.total = vec![0.0; trace.len()];
+            self.total.clear();
+            self.total.resize(trace.len(), 0.0);
         } else if trace.len() != self.total.len() {
             return Err(StatsError::WidthMismatch { expected: self.total.len(), got: trace.len() });
         }
@@ -277,7 +299,7 @@ impl OnlineDpa {
                     self.n1[slot] += 1;
                     let sum = &mut self.sum1[slot];
                     if sum.is_empty() {
-                        *sum = trace.to_vec();
+                        sum.extend_from_slice(trace);
                     } else {
                         for (s, &v) in sum.iter_mut().zip(trace) {
                             *s += v;
@@ -309,7 +331,7 @@ impl OnlineDpa {
             return Ok(());
         }
         if self.n == 0 {
-            *self = other.clone();
+            self.clone_from(other);
             return Ok(());
         }
         if self.total.len() != other.total.len() {
@@ -328,7 +350,7 @@ impl OnlineDpa {
                 continue;
             }
             if self.sum1[slot].is_empty() {
-                self.sum1[slot] = other.sum1[slot].clone();
+                self.sum1[slot].extend_from_slice(&other.sum1[slot]);
             } else {
                 for (s, &v) in self.sum1[slot].iter_mut().zip(&other.sum1[slot]) {
                     *s += v;
@@ -369,13 +391,40 @@ impl OnlineDpa {
     }
 }
 
+impl Clone for OnlineDpa {
+    fn clone(&self) -> Self {
+        OnlineDpa {
+            sbox: self.sbox,
+            report_bit: self.report_bit,
+            bits: self.bits.clone(),
+            n: self.n,
+            total: self.total.clone(),
+            n1: self.n1.clone(),
+            sum1: self.sum1.clone(),
+        }
+    }
+
+    /// Keeps every buffer's allocation, so a sharded campaign can reset a
+    /// merged-away accumulator from an empty prototype instead of
+    /// allocating (and page-faulting) a fresh ~40 MB one per shard.
+    fn clone_from(&mut self, source: &Self) {
+        self.sbox = source.sbox;
+        self.report_bit = source.report_bit;
+        self.bits.clone_from(&source.bits);
+        self.n = source.n;
+        self.total.clone_from(&source.total);
+        self.n1.clone_from(&source.n1);
+        self.sum1.clone_from(&source.sum1);
+    }
+}
+
 /// Single-pass Hamming-weight CPA over one S-box.
 ///
 /// Keeps the per-cycle trace sums shared across guesses and one
 /// cross-moment vector per guess — O(guesses × trace_len), independent of
 /// the sample count. Finalizing evaluates the same Pearson-correlation
 /// formula as the batch [`crate::cpa::cpa_recover_subkey`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct OnlineCpa {
     sbox: usize,
     n: u64,
@@ -385,6 +434,31 @@ pub struct OnlineCpa {
     sum_h: [f64; 64],
     sum_h2: [f64; 64],
     sum_ht: Vec<Vec<f64>>,
+}
+
+impl Clone for OnlineCpa {
+    fn clone(&self) -> Self {
+        OnlineCpa {
+            sbox: self.sbox,
+            n: self.n,
+            sum_t: self.sum_t.clone(),
+            sum_t2: self.sum_t2.clone(),
+            sum_h: self.sum_h,
+            sum_h2: self.sum_h2,
+            sum_ht: self.sum_ht.clone(),
+        }
+    }
+
+    /// Keeps every buffer's allocation; see [`OnlineDpa`]'s `clone_from`.
+    fn clone_from(&mut self, source: &Self) {
+        self.sbox = source.sbox;
+        self.n = source.n;
+        self.sum_t.clone_from(&source.sum_t);
+        self.sum_t2.clone_from(&source.sum_t2);
+        self.sum_h = source.sum_h;
+        self.sum_h2 = source.sum_h2;
+        self.sum_ht.clone_from(&source.sum_ht);
+    }
 }
 
 impl OnlineCpa {
@@ -416,6 +490,14 @@ impl OnlineCpa {
         self.n == 0
     }
 
+    /// Bytes this accumulator holds once it has folded traces of `width`
+    /// samples: Σt and Σt² plus one Σh·t vector per guess. Admission
+    /// control budgets one of these per live shard accumulator.
+    pub fn footprint(&self, width: usize) -> usize {
+        let per_guess = size_of::<Vec<f64>>() + width * size_of::<f64>();
+        size_of::<Self>() + 2 * width * size_of::<f64>() + self.sum_ht.len() * per_guess
+    }
+
     /// Folds one `(plaintext, trace)` observation in.
     ///
     /// # Errors
@@ -424,10 +506,9 @@ impl OnlineCpa {
     /// the established width; the accumulator is left unchanged.
     pub fn push(&mut self, plaintext: u64, trace: &[f64]) -> Result<(), StatsError> {
         if self.n == 0 {
-            self.sum_t = vec![0.0; trace.len()];
-            self.sum_t2 = vec![0.0; trace.len()];
-            for s in &mut self.sum_ht {
-                *s = vec![0.0; trace.len()];
+            for s in [&mut self.sum_t, &mut self.sum_t2].into_iter().chain(&mut self.sum_ht) {
+                s.clear();
+                s.resize(trace.len(), 0.0);
             }
         } else if trace.len() != self.sum_t.len() {
             return Err(StatsError::WidthMismatch { expected: self.sum_t.len(), got: trace.len() });
@@ -468,7 +549,7 @@ impl OnlineCpa {
             return Ok(());
         }
         if self.n == 0 {
-            *self = other.clone();
+            self.clone_from(other);
             return Ok(());
         }
         if self.sum_t.len() != other.sum_t.len() {
@@ -552,6 +633,83 @@ mod tests {
 
     fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= tol)
+    }
+
+    /// Heap bytes held by a vector of vectors of `f64`.
+    fn nested_bytes(v: &[Vec<f64>]) -> usize {
+        v.iter().map(|x| size_of::<Vec<f64>>() + x.capacity() * size_of::<f64>()).sum()
+    }
+
+    #[test]
+    fn footprints_cover_fully_populated_accumulators() {
+        let width = 100;
+        let traces: Vec<(u64, Vec<f64>)> = (0..64u64)
+            .map(|p| (p.wrapping_mul(0x9E37_79B9_7F4A_7C15), vec![p as f64; width]))
+            .collect();
+        let mut dpa = OnlineDpa::multibit(0, 0);
+        let mut cpa = OnlineCpa::new(0);
+        let mut welch = OnlineWelch::new();
+        for (p, t) in &traces {
+            dpa.push(*p, t).unwrap();
+            cpa.push(*p, t).unwrap();
+            welch.g0.push(t).unwrap();
+            welch.g1.push(t).unwrap();
+        }
+        assert!(dpa.sum1.iter().all(|s| s.len() == width), "every group populated");
+        let f64s = |v: &Vec<f64>| v.capacity() * size_of::<f64>();
+        let dpa_heap = f64s(&dpa.total)
+            + nested_bytes(&dpa.sum1)
+            + dpa.n1.capacity() * size_of::<u64>()
+            + dpa.bits.capacity() * size_of::<usize>();
+        let cpa_heap = f64s(&cpa.sum_t) + f64s(&cpa.sum_t2) + nested_bytes(&cpa.sum_ht);
+        let welch_heap: usize =
+            [&welch.g0, &welch.g1].iter().map(|g| f64s(&g.mean) + f64s(&g.m2)).sum();
+        for (name, footprint, heap, inline) in [
+            ("dpa", dpa.footprint(width), dpa_heap, size_of::<OnlineDpa>()),
+            ("cpa", cpa.footprint(width), cpa_heap, size_of::<OnlineCpa>()),
+            ("welch", welch.footprint(width), welch_heap, size_of::<OnlineWelch>()),
+        ] {
+            assert_eq!(footprint, heap + inline, "{name}");
+        }
+        // The paper-scale figure: 4 bits x 64 guesses over round 1.
+        let mb = OnlineDpa::multibit(0, 0).footprint(19_383) as f64 / 1e6;
+        assert!((39.0..41.0).contains(&mb), "{mb} MB");
+    }
+
+    #[test]
+    fn recycled_accumulators_keep_their_buffers_and_fold_identically() {
+        let traces: Vec<(u64, Vec<f64>)> = (0..40u64)
+            .map(|p| {
+                let p = p.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (p, (0..50).map(|j| ((p >> (j % 60)) & 0xFF) as f64 * 0.37).collect())
+            })
+            .collect();
+        let fold_dpa = |acc: &mut OnlineDpa, ts: &[(u64, Vec<f64>)]| {
+            ts.iter().for_each(|(p, t)| acc.push(*p, t).unwrap())
+        };
+        let fold_cpa = |acc: &mut OnlineCpa, ts: &[(u64, Vec<f64>)]| {
+            ts.iter().for_each(|(p, t)| acc.push(*p, t).unwrap())
+        };
+        let (dpa_proto, cpa_proto) = (OnlineDpa::multibit(3, 1), OnlineCpa::new(3));
+        let (mut dpa, mut cpa) = (dpa_proto.clone(), cpa_proto.clone());
+        fold_dpa(&mut dpa, &traces[..20]);
+        fold_cpa(&mut cpa, &traces[..20]);
+        let dpa_buffer = dpa.sum1.iter().find(|s| !s.is_empty()).unwrap().as_ptr();
+        let cpa_buffer = cpa.sum_ht[5].as_ptr();
+        dpa.clone_from(&dpa_proto);
+        cpa.clone_from(&cpa_proto);
+        assert_eq!((&dpa, &cpa), (&dpa_proto, &cpa_proto), "reset to the prototype");
+        fold_dpa(&mut dpa, &traces[20..]);
+        fold_cpa(&mut cpa, &traces[20..]);
+        assert!(dpa.sum1.iter().any(|s| s.as_ptr() == dpa_buffer), "dpa buffers reused");
+        assert_eq!(cpa.sum_ht[5].as_ptr(), cpa_buffer, "cpa buffers reused");
+        let (mut fresh_dpa, mut fresh_cpa) = (dpa_proto.clone(), cpa_proto.clone());
+        fold_dpa(&mut fresh_dpa, &traces[20..]);
+        fold_cpa(&mut fresh_cpa, &traces[20..]);
+        assert_eq!(dpa.result(), fresh_dpa.result());
+        assert_eq!(cpa.result(), fresh_cpa.result());
+        assert_eq!(dpa, fresh_dpa);
+        assert_eq!(cpa, fresh_cpa);
     }
 
     #[test]

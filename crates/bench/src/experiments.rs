@@ -4,7 +4,6 @@ use emask_attack::cpa::{cpa_recover_subkey, cpa_recover_subkey_par, CpaConfig, C
 use emask_attack::dpa::{
     recover_subkey_multibit, recover_subkey_multibit_par, DpaConfig, DpaResult,
 };
-use emask_attack::online::OnlineWelch;
 use emask_attack::spa::{detect_rounds, SpaReport};
 use emask_attack::stats::{welch_t, TraceMatrix};
 use emask_core::desgen::DesProgramSpec;
@@ -15,7 +14,8 @@ use emask_des::KeySchedule;
 use emask_energy::EnergyModel;
 use emask_energy::{FunctionalUnit, UnitState};
 use emask_isa::OpClass;
-use emask_par::{merge_shards, run_sharded, trial_seed, Jobs};
+use emask_par::Jobs;
+use emask_telemetry::NullSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -591,10 +591,13 @@ pub fn tvla(policy: MaskPolicy, rounds: usize, group_size: usize, seed: u64) -> 
 }
 
 /// [`tvla`] with acquisition sharded across `jobs` workers, folding each
-/// trace pair straight into streaming [`OnlineWelch`] accumulators — no
+/// trace pair straight into streaming
+/// [`OnlineWelch`](emask_attack::online::OnlineWelch) accumulators — no
 /// trace matrix is retained, and the per-trial random key is derived from
 /// `(seed, trial index)`, so the report is identical for any `jobs` value
 /// (but uses a different key stream than the sequential-RNG [`tvla`]).
+/// This is [`tvla_convergence`](crate::live::tvla_convergence) with no
+/// event sink.
 pub fn tvla_par(
     policy: MaskPolicy,
     rounds: usize,
@@ -602,39 +605,7 @@ pub fn tvla_par(
     seed: u64,
     jobs: Jobs,
 ) -> TvlaReport {
-    let des = compile(policy, rounds);
-    let probe = des.encrypt(PLAINTEXT, KEY).expect("probe");
-    let start = probe.phase_window(Phase::KeyPermutation).expect("kp").start;
-    let end = probe.phase_window(Phase::Round(rounds as u8)).expect("last round").end;
-    let accs = run_sharded(jobs, group_size, |_, range| {
-        let mut acc = OnlineWelch::new();
-        for i in range {
-            let f = des.encrypt(PLAINTEXT, KEY).expect("fixed run");
-            acc.g0.push(f.trace.window(start..end).samples()).expect("aligned traces");
-            let k: u64 = StdRng::seed_from_u64(trial_seed(seed, i as u64)).gen();
-            let r = des.encrypt(PLAINTEXT, k).expect("random run");
-            acc.g1.push(r.trace.window(start..end).samples()).expect("aligned traces");
-        }
-        acc
-    });
-    let acc = merge_shards(accs, |a, b| {
-        a.merge(&b).expect("aligned shards");
-    })
-    .unwrap_or_default();
-    let t = acc.welch_t();
-    let (at_cycle, max_t) =
-        t.iter().enumerate().fold(
-            (0, 0.0f64),
-            |best, (i, &v)| {
-                if v.abs() > best.1 {
-                    (i, v.abs())
-                } else {
-                    best
-                }
-            },
-        );
-    let leaky_cycles = t.iter().filter(|v| v.abs() >= 4.5).count();
-    TvlaReport { max_t, at_cycle, leaky_cycles, group_size }
+    crate::live::tvla_convergence(policy, rounds, group_size, seed, jobs, 0, &NullSink)
 }
 
 /// The ablation studies of the design choices DESIGN.md calls out.

@@ -224,7 +224,7 @@ pub fn tvla_convergence_cancellable<S: EventSink>(
         group_size,
         cadence,
         token,
-        OnlineWelch::new,
+        &OnlineWelch::new(),
         |acc: &mut OnlineWelch, i| {
             let f = des.encrypt(PLAINTEXT, KEY).expect("fixed run");
             acc.g0.push(f.trace.window(start..end).samples()).expect("aligned traces");

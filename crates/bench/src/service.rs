@@ -15,6 +15,7 @@ use crate::checkpoint::{run_campaign_resumable_cancellable_events, CampaignError
 use crate::experiments::{KEY, PLAINTEXT};
 use crate::live;
 use emask_attack::cpa::{cpa_recover_subkey_par_cancellable, CpaConfig, CpaResult};
+use emask_attack::online::{OnlineCpa, OnlineDpa, OnlineWelch};
 use emask_core::{DesProgramSpec, MaskPolicy, MaskedDes, Phase, RecoveryPolicy};
 use emask_des::KeySchedule;
 use emask_par::Jobs;
@@ -42,10 +43,44 @@ fn parse_policy(name: &str) -> Result<MaskPolicy, String> {
     })
 }
 
-/// Rough per-cycle trace length of a `rounds`-round encryption — only
-/// used to size accumulators for admission control, so generous is fine.
-fn trace_len_estimate(rounds: usize) -> u64 {
-    8_192 + 4_096 * rounds as u64
+/// Simulated cycles of one DES round, rounded up: 19,383 for round 1 and
+/// about 19,400 for each later one, under every masking policy.
+const ROUND_CYCLES: usize = 19_456;
+
+/// Simulated cycles outside the rounds (29,314 − 19,383 at one round),
+/// rounded up.
+const PROLOGUE_CYCLES: usize = 10_240;
+
+/// Upper bound on the per-cycle trace length of a `rounds`-round
+/// encryption (29,314 cycles at one round, 320,275 at sixteen).
+fn trace_len_estimate(rounds: usize) -> usize {
+    PROLOGUE_CYCLES + ROUND_CYCLES * rounds
+}
+
+/// The round count an experiment's device is compiled with: DPA and CPA
+/// attack round 1, so four rounds suffice; TVLA and leakage attribution
+/// stop at two.
+fn device_rounds(experiment: &str, rounds: usize) -> usize {
+    match experiment {
+        "dpa" | "cpa" => rounds.min(4),
+        "tvla" | "leakage" => rounds.min(2),
+        _ => rounds,
+    }
+}
+
+/// Heap bytes an encryption in flight holds per simulated cycle: its
+/// energy trace (8-byte samples in a vector that may have doubled past
+/// its length) plus the window copy folded into an accumulator.
+const TRACE_BYTES_PER_CYCLE: usize = 24;
+
+/// Upper bound on the width of the trace window an experiment folds into
+/// its accumulators: round 1 for DPA and CPA, key permutation through the
+/// last round for TVLA.
+fn window_estimate(experiment: &str, rounds: usize) -> usize {
+    match experiment {
+        "tvla" => trace_len_estimate(device_rounds(experiment, rounds)),
+        _ => ROUND_CYCLES,
+    }
 }
 
 fn compile(policy: MaskPolicy, rounds: usize) -> Result<MaskedDes, String> {
@@ -93,19 +128,24 @@ impl ExperimentRunner for BenchRunner {
         if spec.sbox >= 8 {
             return Err("sbox must be in 0..=7".into());
         }
-        let len = trace_len_estimate(spec.rounds);
-        let f64s = std::mem::size_of::<f64>() as u64;
-        // Peak accumulator footprint per experiment; the dominant terms
-        // are the O(guesses × trace_len) difference/correlation arrays,
-        // multiplied by the worker count (each shard folds its own).
-        let workers = spec.jobs as u64;
+        // The accumulator campaigns hold at most `peak_accumulators` shard
+        // accumulators at once (the ordered fold's prefix plus one per
+        // worker, and snapshot clones at mid-shard boundaries), each of
+        // its footprint at the experiment's window. Every worker also
+        // holds the traces of the trial it is folding (TVLA's fixed and
+        // random pair), and the campaign keeps its probe encryption's.
+        let jobs = Jobs::new(spec.jobs).unwrap_or_else(Jobs::serial);
+        let accumulators = emask_par::peak_accumulators(jobs, spec.trials, spec.cadence);
+        let width = window_estimate(&spec.experiment, spec.rounds);
+        let per_trial = if spec.experiment == "tvla" { 2 } else { 1 };
+        let traces = spec.jobs.min(spec.trials) * per_trial + 1;
+        let trace_bytes = TRACE_BYTES_PER_CYCLE
+            * trace_len_estimate(device_rounds(&spec.experiment, spec.rounds));
+        let campaign = |footprint: usize| (accumulators * footprint + traces * trace_bytes) as u64;
         Ok(match spec.experiment.as_str() {
-            // 64 guesses × (sum1, sum0, counts) per cycle.
-            "dpa" => 64 * len * 3 * f64s * workers,
-            // 64 guesses × (Σt, Σt², Σht) per cycle plus the h moments.
-            "cpa" => 64 * len * 3 * f64s * workers,
-            // Two Welford groups × (mean, m2) per cycle.
-            "tvla" => 2 * len * 2 * f64s * workers,
+            "dpa" => campaign(OnlineDpa::multibit(spec.sbox, 0).footprint(width)),
+            "cpa" => campaign(OnlineCpa::new(spec.sbox).footprint(width)),
+            "tvla" => campaign(OnlineWelch::new().footprint(width)),
             // One outcome record per trial plus the recovery journal.
             "fault" => spec.trials as u64 * 128,
             // Per-instruction profile, bounded by program length.
@@ -177,7 +217,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                 }
             }
             "dpa" => {
-                let rounds = spec.rounds.min(4); // round 1 is all DPA needs
+                let rounds = device_rounds("dpa", spec.rounds);
                 match live::dpa_attack_convergence_cancellable(
                     policy,
                     rounds,
@@ -203,7 +243,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                 }
             }
             "cpa" => {
-                let rounds = spec.rounds.min(4);
+                let rounds = device_rounds("cpa", spec.rounds);
                 let des = match compile(policy, rounds) {
                     Ok(d) => d,
                     Err(reason) => return RunStatus::Failed { reason, transient: false },
@@ -237,7 +277,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                 }
             }
             "tvla" => {
-                let rounds = spec.rounds.min(2);
+                let rounds = device_rounds("tvla", spec.rounds);
                 match live::tvla_convergence_cancellable(
                     policy,
                     rounds,
@@ -270,7 +310,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                         completed_trials: 0,
                     });
                 }
-                let rounds = spec.rounds.min(2);
+                let rounds = device_rounds("leakage", spec.rounds);
                 let traces = spec.trials.clamp(6, 48);
                 let cmp = live::leakage_attribution(rounds, traces, spec.seed);
                 ctx.sink.emit(emask_telemetry::Event::CampaignCompleted {
@@ -343,6 +383,53 @@ mod tests {
             .admit(&JobSpec { experiment: "dpa".into(), rounds: 16, jobs: 8, ..JobSpec::default() })
             .unwrap();
         assert!(big > small, "dpa at 16 rounds x 8 workers dwarfs a 1-round tvla");
+    }
+
+    #[test]
+    fn window_estimates_cover_every_probe_window() {
+        let policies = [
+            MaskPolicy::None,
+            MaskPolicy::Selective,
+            MaskPolicy::AllLoadsStores,
+            MaskPolicy::AllInstructions,
+        ];
+        for policy in policies {
+            // Probe runs by device round count (1..=4 covers every spec).
+            let probes: Vec<_> = (1..=4)
+                .map(|rounds| compile(policy, rounds).unwrap().encrypt(PLAINTEXT, KEY).unwrap())
+                .collect();
+            for rounds in 1..=16 {
+                for experiment in ["dpa", "cpa", "tvla"] {
+                    let device = device_rounds(experiment, rounds);
+                    let probe = &probes[device - 1];
+                    let window = if experiment == "tvla" {
+                        let start = probe.phase_window(Phase::KeyPermutation).unwrap().start;
+                        start..probe.phase_window(Phase::Round(device as u8)).unwrap().end
+                    } else {
+                        probe.phase_window(Phase::Round(1)).unwrap()
+                    };
+                    let at = format!("{policy:?} {experiment} at {rounds} rounds");
+                    assert!(window_estimate(experiment, rounds) >= window.len(), "{at}");
+                    assert!(trace_len_estimate(device) >= probe.trace.len(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn serve_mix_sized_jobs_fit_the_default_budget() {
+        // A 32-trial one-round DPA on two workers: the prefix plus two
+        // in-window accumulators of about 40 MB each.
+        let spec = JobSpec {
+            experiment: "dpa".into(),
+            trials: 32,
+            rounds: 1,
+            jobs: 2,
+            ..JobSpec::default()
+        };
+        let mb = BenchRunner.admit(&spec).unwrap() / (1024 * 1024);
+        assert!((115..=135).contains(&mb), "{mb} MB");
+        assert!(mb < 512, "admitted under the default 512 MB budget");
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! offline) and unsafe-free: workers return their `(shard_index, result)`
 //! pairs through `std::thread::scope` joins, and the caller-visible
 //! results are re-ordered by shard index.
+//!
+//! Accumulator campaigns use [`fold_sharded`] instead of collecting every
+//! shard's result: finished shards fold into one running prefix in shard
+//! order, and a reorder window the size of the pool keeps at most
+//! `jobs + 1` accumulators alive (see [`peak_accumulators`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,11 +40,12 @@ mod lease;
 pub use lease::{Lease, ThreadBudget};
 
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -546,52 +552,109 @@ pub fn snapshot_boundaries(n: usize, cadence: usize) -> Vec<usize> {
     b
 }
 
-/// Per-boundary delivery ledger shared by the snapshotting workers.
-struct SnapState<A> {
-    /// `partials[(boundary_index, shard)]` — a shard's accumulator clone
-    /// taken after folding its trials below that boundary.
-    partials: std::collections::BTreeMap<(usize, usize), A>,
-    /// Completed shard accumulators, by shard index.
-    finals: Vec<Option<A>>,
-    /// Index into the boundary list of the next snapshot to emit.
-    emitted: usize,
+/// The most accumulators [`run_sharded_snapshotted_cancellable`] (and so
+/// [`fold_sharded`]) ever holds at once for `n` trials on `jobs` workers
+/// at snapshot `cadence` — the figure admission control multiplies by an
+/// accumulator's footprint.
+///
+/// The ordered fold keeps one running prefix plus at most one
+/// accumulator per shard in its reorder window, and the window is the
+/// worker count: `min(jobs, shards) + 1`. Snapshot boundaries that fall
+/// *inside* a shard add a snapshot under construction and the boundary
+/// clones parked by the shards running ahead of the fold. Boundaries on
+/// shard edges (and `cadence == 0`) cost nothing extra: they snapshot the
+/// prefix itself.
+#[must_use]
+pub fn peak_accumulators(jobs: Jobs, n: usize, cadence: usize) -> usize {
+    let ranges = shard_ranges(n);
+    let window = jobs.get().min(ranges.len());
+    if window == 0 {
+        return 0;
+    }
+    let boundaries = snapshot_boundaries(n, cadence);
+    let inner = ranges
+        .iter()
+        .map(|r| boundaries.iter().filter(|&&b| r.start < b && b < r.end).count())
+        .max()
+        .unwrap_or(0);
+    let snapshots = if inner > 0 { 1 + (window - 1) * inner } else { 0 };
+    window + 1 + snapshots
 }
 
-/// Like [`run_sharded`], but additionally emits a **merged snapshot of
-/// all trials `0..b`** at every trial-count boundary `b` (see
-/// [`snapshot_boundaries`]) — the live convergence feed for long attack
-/// campaigns.
+/// The ordered streaming fold of a sharded run: the trial-level `fold`
+/// applied to every trial of `0..n` across `jobs` workers, with the shard
+/// accumulators merged left to right as they complete.
 ///
-/// Each shard folds its contiguous trial range into an accumulator
-/// created by `init`, cloning it whenever a boundary falls strictly
-/// inside the range. A snapshot for boundary `b` becomes available once
-/// every shard overlapping `0..b` has delivered either its boundary
-/// clone or its final accumulator; the delivering worker then builds the
-/// snapshot by merging those contributions **in shard order** and calls
-/// `emit(b, &snapshot)` while holding the ledger lock — so snapshots are
-/// emitted in ascending boundary order, exactly once each, and every
-/// snapshot's float bracketing is the fixed shard-merge order. The
-/// stream is therefore **bit-identical for any `jobs` count**, while
-/// still being *live*: boundary `b` emits as soon as the slowest shard
-/// overlapping it arrives, not at campaign end.
+/// Each shard folds its contiguous trial range into a copy of `proto`.
+/// Whenever shards `0..k` have all finished, they are merged into one
+/// running prefix in that order — the bracketing of [`merge_shards`] over
+/// [`run_sharded`], so the result is bit-identical to it and to itself at
+/// any `jobs` count. A reorder window the size of the worker pool stops a
+/// worker from starting shard `s` until `s < k + workers`, which bounds
+/// the live accumulators at `min(jobs, shards) + 1` (see
+/// [`peak_accumulators`]) instead of one per shard.
 ///
-/// A slow `emit` (e.g. a full bounded event bus) blocks the delivering
-/// worker — backpressure, by design, rather than unbounded buffering.
+/// A shard merged into the prefix is not dropped: the next shard to start
+/// resets it with [`Clone::clone_from`]`(proto)` and folds into it, so an
+/// accumulator whose `clone_from` keeps its buffers is allocated once per
+/// worker rather than once per shard.
 ///
-/// Returns the final merged accumulator (`None` when `n == 0`). The
-/// last emission, at boundary `n`, carries the same value.
-pub fn run_sharded_snapshotted<A, I, F, M, E>(
+/// `token` is checked before every trial; cancellation, panics and lease
+/// arbitration behave as in [`run_sharded_snapshotted_cancellable`], of
+/// which this is the snapshot-free case. Returns `Ok(None)` when `n == 0`.
+///
+/// # Errors
+///
+/// [`Interrupted`] when cancellation stopped at least one trial short.
+pub fn fold_sharded<A, F, M>(
+    jobs: Jobs,
+    n: usize,
+    token: &CancelToken,
+    proto: &A,
+    fold: F,
+    merge: M,
+) -> Result<Option<A>, Interrupted>
+where
+    A: Clone + Send + Sync,
+    F: Fn(&mut A, usize) + Sync,
+    M: Fn(&mut A, &A) + Sync,
+{
+    run_sharded_snapshotted_cancellable(jobs, n, 0, token, proto, fold, merge, |_, _| {})
+}
+
+/// [`fold_sharded`] plus a **merged snapshot of all trials `0..b`** at
+/// every trial-count boundary `b` (see [`snapshot_boundaries`]) — the
+/// live convergence feed for long attack campaigns.
+///
+/// A boundary on a shard edge snapshots the running prefix itself. A
+/// boundary strictly inside shard `k` needs the prefix over shards
+/// `0..k` merged with shard `k`'s accumulator as it stood at the
+/// boundary: the worker running shard `k` builds that snapshot on the
+/// spot when the prefix has just reached `k`, and otherwise parks a clone
+/// of its accumulator until it has. Every ready boundary is emitted
+/// *before* the next shard is folded into the prefix, so `emit(b, &snap)`
+/// runs in ascending boundary order, exactly once each, with the float
+/// bracketing of the fixed shard-merge order. The stream is therefore
+/// **bit-identical for any `jobs` count**, while still being *live*:
+/// boundary `b` emits as soon as the shards below it are in.
+///
+/// `emit` runs under the fold's lock, so a slow `emit` (e.g. a full
+/// bounded event bus) blocks the delivering worker — backpressure, by
+/// design, rather than unbounded buffering.
+///
+/// Returns the final merged accumulator (`None` when `n == 0`). The last
+/// emission, at boundary `n`, carries the same value.
+pub fn run_sharded_snapshotted<A, F, M, E>(
     jobs: Jobs,
     n: usize,
     cadence: usize,
-    init: I,
+    proto: &A,
     fold: F,
     merge: M,
     emit: E,
 ) -> Option<A>
 where
-    A: Clone + Send,
-    I: Fn() -> A + Sync,
+    A: Clone + Send + Sync,
     F: Fn(&mut A, usize) + Sync,
     M: Fn(&mut A, &A) + Sync,
     E: Fn(usize, &A) + Sync,
@@ -601,7 +664,7 @@ where
         n,
         cadence,
         &CancelToken::new(),
-        init,
+        proto,
         fold,
         merge,
         emit,
@@ -611,164 +674,308 @@ where
     }
 }
 
-/// [`run_sharded_snapshotted`] with cooperative cancellation: the harness
-/// checks `token` **before every trial**, so a cancel, deadline, or
-/// shutdown request stops the run at the next trial boundary.
+/// [`run_sharded_snapshotted`] with cooperative cancellation — the
+/// ordered-fold core every other fold entry point delegates to. The
+/// harness checks `token` **before every trial**, so a cancel, deadline,
+/// or shutdown request stops the run at the next trial boundary, and
+/// excess workers retire at shard boundaries when the token's lease
+/// shrinks (worker 0 never does).
 ///
-/// On interruption the partial shard accumulators are discarded and a
-/// typed [`Interrupted`] is returned; the snapshots already emitted stand
-/// — they are complete prefixes of the deterministic stream, so an
-/// interrupted run's emissions are a byte-identical prefix of an
-/// uninterrupted run's. Cancellation requested after the last trial has
-/// folded (e.g. a deadline expiring during the final merge) has no
-/// effect: a finished run is always delivered.
+/// On interruption no new shard starts, the accumulators are discarded
+/// and a typed [`Interrupted`] reports the trials folded so far; the
+/// snapshots already emitted stand — they are complete prefixes of the
+/// deterministic stream, so an interrupted run's emissions are a
+/// byte-identical prefix of an uninterrupted run's. Cancellation
+/// requested after the last trial has folded (e.g. a deadline expiring
+/// during the final merge) has no effect: a finished run is always
+/// delivered.
+///
+/// A panic in a shard stops new shards from starting, lets the running
+/// ones finish, and is then re-raised — the lowest-indexed panicking
+/// shard's payload, whatever the worker count.
 ///
 /// # Errors
 ///
 /// [`Interrupted`] when cancellation stopped at least one trial short.
 #[allow(clippy::too_many_arguments)]
-pub fn run_sharded_snapshotted_cancellable<A, I, F, M, E>(
+pub fn run_sharded_snapshotted_cancellable<A, F, M, E>(
     jobs: Jobs,
     n: usize,
     cadence: usize,
     token: &CancelToken,
-    init: I,
+    proto: &A,
     fold: F,
     merge: M,
     emit: E,
 ) -> Result<Option<A>, Interrupted>
 where
-    A: Clone + Send,
-    I: Fn() -> A + Sync,
+    A: Clone + Send + Sync,
     F: Fn(&mut A, usize) + Sync,
     M: Fn(&mut A, &A) + Sync,
     E: Fn(usize, &A) + Sync,
 {
     let ranges = shard_ranges(n);
     let boundaries = snapshot_boundaries(n, cadence);
-    let state = std::sync::Mutex::new(SnapState {
-        partials: std::collections::BTreeMap::new(),
-        finals: vec![None; ranges.len()],
-        emitted: 0,
-    });
-
-    // Emits every boundary whose contributions are all present. Called
-    // with the ledger locked after each delivery.
-    let try_emit = |st: &mut SnapState<A>| {
-        while st.emitted < boundaries.len() {
-            let bi = st.emitted;
-            let b = boundaries[bi];
-            let ready = ranges.iter().enumerate().all(|(s, r)| {
-                r.start >= b
-                    || (if b >= r.end {
-                        st.finals[s].is_some()
-                    } else {
-                        st.partials.contains_key(&(bi, s))
-                    })
-            });
-            if !ready {
-                break;
-            }
-            let mut snapshot: Option<A> = None;
-            for (s, r) in ranges.iter().enumerate() {
-                if r.start >= b {
-                    continue;
-                }
-                let contribution = if b >= r.end {
-                    st.finals[s].as_ref().expect("checked above")
-                } else {
-                    st.partials.get(&(bi, s)).expect("checked above")
-                };
-                match &mut snapshot {
-                    None => snapshot = Some(contribution.clone()),
-                    Some(acc) => merge(acc, contribution),
-                }
-            }
-            if let Some(snap) = &snapshot {
-                emit(b, snap);
-            }
-            // This boundary's clones are no longer needed.
-            let drop_keys: Vec<_> =
-                st.partials.range((bi, 0)..(bi + 1, 0)).map(|(k, _)| *k).collect();
-            for k in drop_keys {
-                st.partials.remove(&k);
-            }
-            st.emitted += 1;
-        }
+    let workers = jobs.get().min(ranges.len()).max(1);
+    let core = OrderedFold {
+        ranges: &ranges,
+        boundaries: &boundaries,
+        window: workers,
+        merge: &merge,
+        emit: &emit,
+        ledger: Mutex::new(Ledger::default()),
+        turn: Condvar::new(),
     };
-
     // Trials known folded — operational progress accounting for the
     // `Interrupted` report, not part of any deterministic result.
     let done = AtomicUsize::new(0);
-    let run_shard = |s: usize, range: Range<usize>| {
-        let mut acc = init();
-        // First boundary past the shard's start.
-        let mut bi = boundaries.partition_point(|&b| b <= range.start);
-        for i in range.clone() {
-            // The trial-boundary cancellation point: an interrupted shard
-            // discards its partial accumulator (resumable campaigns
-            // persist completed work through their own checkpoints).
-            if token.check().is_err() {
-                return;
-            }
-            fold(&mut acc, i);
-            done.fetch_add(1, Ordering::Relaxed);
-            while bi < boundaries.len() && boundaries[bi] == i + 1 && boundaries[bi] < range.end {
-                let mut st = state.lock().expect("snapshot ledger poisoned");
-                st.partials.insert((bi, s), acc.clone());
-                try_emit(&mut st);
-                bi += 1;
-            }
+    let work = |w: usize| {
+        while let Some((s, spare)) = core.claim(w, token) {
+            let range = ranges[s].clone();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut acc = match spare {
+                    Some(mut acc) => {
+                        acc.clone_from(proto);
+                        acc
+                    }
+                    None => proto.clone(),
+                };
+                // First boundary past the shard's start.
+                let mut bi = boundaries.partition_point(|&b| b <= range.start);
+                for i in range.clone() {
+                    // The trial-boundary cancellation point: an
+                    // interrupted shard discards its partial accumulator
+                    // (resumable campaigns persist completed work
+                    // through their own checkpoints).
+                    if token.check().is_err() {
+                        return None;
+                    }
+                    fold(&mut acc, i);
+                    done.fetch_add(1, Ordering::Relaxed);
+                    if boundaries.get(bi) == Some(&(i + 1)) && i + 1 < range.end {
+                        core.offer_partial(bi, s, &acc);
+                        bi += 1;
+                    }
+                }
+                Some(acc)
+            }));
+            core.deliver(s, outcome);
         }
-        let mut st = state.lock().expect("snapshot ledger poisoned");
-        st.finals[s] = Some(acc);
-        try_emit(&mut st);
     };
-
-    if jobs.get() <= 1 || ranges.len() <= 1 {
-        for (s, r) in ranges.iter().enumerate() {
-            run_shard(s, r.clone());
-        }
+    if workers == 1 {
+        work(0);
     } else {
-        let threads = jobs.get().min(ranges.len());
-        let next = AtomicUsize::new(0);
         thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let (next, ranges, run_shard) = (&next, &ranges, &run_shard);
-                    scope.spawn(move || loop {
-                        // Same lease check as run_sharded_cancellable:
-                        // worker 0 always proceeds, the rest retire once
-                        // the grant shrinks below their index.
-                        if !token.worker_allowed(w) {
-                            break;
-                        }
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = ranges.get(s) else { break };
-                        run_shard(s, range.clone());
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
+            for w in 0..workers {
+                let work = &work;
+                scope.spawn(move || work(w));
+            }
+        });
+    }
+    let st = core.ledger.into_inner().unwrap_or_else(PoisonError::into_inner);
+    // Deterministic propagation: the lowest panicking shard, for any jobs.
+    if let Some((_, payload)) = st.panics.into_iter().next() {
+        std::panic::resume_unwind(payload);
+    }
+    if st.intact && st.next == ranges.len() {
+        return Ok(st.prefix);
+    }
+    Err(Interrupted {
+        reason: token.reason().unwrap_or(CancelReason::Cancelled),
+        completed_trials: done.load(Ordering::Relaxed),
+    })
+}
+
+/// The shared state of an ordered fold, behind [`OrderedFold::ledger`].
+struct Ledger<A> {
+    /// Shards handed to workers so far: the next claim.
+    claimed: usize,
+    /// Every shard below this index has been folded into `prefix` (or,
+    /// once the fold broke, passed over).
+    next: usize,
+    /// The merge of shards `0..next` in shard order; `None` before shard
+    /// 0 lands.
+    prefix: Option<A>,
+    /// Whether `prefix` covers all of `0..next` — false from the first
+    /// shard that stopped short.
+    intact: bool,
+    /// Delivered shards at or past `next`, waiting for their turn; `None`
+    /// for a shard that stopped short (cancelled or panicked).
+    pending: BTreeMap<usize, Option<A>>,
+    /// Accumulator clones at mid-shard boundaries, parked by shards ahead
+    /// of the fold: `(boundary index, shard)` → clone.
+    partials: BTreeMap<(usize, usize), A>,
+    /// Index into the boundary list of the next snapshot to emit.
+    emitted: usize,
+    /// Accumulators already merged into `prefix`, kept for the next
+    /// shards to reset and reuse.
+    spares: Vec<A>,
+    /// Set once a shard stopped short: no further shard starts.
+    stop: bool,
+    /// Panic payloads by shard index.
+    panics: BTreeMap<usize, Box<dyn Any + Send>>,
+}
+
+impl<A> Default for Ledger<A> {
+    fn default() -> Self {
+        Ledger {
+            claimed: 0,
+            next: 0,
+            prefix: None,
+            intact: true,
+            pending: BTreeMap::new(),
+            partials: BTreeMap::new(),
+            emitted: 0,
+            spares: Vec::new(),
+            stop: false,
+            panics: BTreeMap::new(),
+        }
+    }
+}
+
+/// One ordered fold in flight: the shard plan, the user's merge and emit,
+/// and the ledger the workers deliver into.
+struct OrderedFold<'a, A, M, E> {
+    ranges: &'a [Range<usize>],
+    boundaries: &'a [usize],
+    /// The reorder window: shard `s` may start once `s < next + window`.
+    window: usize,
+    merge: &'a M,
+    emit: &'a E,
+    ledger: Mutex<Ledger<A>>,
+    /// Signalled whenever `next` advances or `stop` is set.
+    turn: Condvar,
+}
+
+impl<A: Clone, M: Fn(&mut A, &A), E: Fn(usize, &A)> OrderedFold<'_, A, M, E> {
+    /// The ledger, even after a panic elsewhere: panics are caught and
+    /// recorded, so a poisoned lock carries no extra information.
+    fn lock(&self) -> MutexGuard<'_, Ledger<A>> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next shard for worker `w` to run, once it is inside the
+    /// window, with a merged-away accumulator to reuse if one is spare;
+    /// `None` when the worker should retire (lease shrunk, no shards left,
+    /// or the run stopped).
+    fn claim(&self, w: usize, token: &CancelToken) -> Option<(usize, Option<A>)> {
+        // Lease arbitration: excess workers retire at shard boundaries
+        // once the grant shrinks; worker 0 always proceeds.
+        if !token.worker_allowed(w) {
+            return None;
+        }
+        let mut st = self.lock();
+        if st.stop || st.claimed == self.ranges.len() {
+            return None;
+        }
+        let s = st.claimed;
+        st.claimed += 1;
+        // Shard `next` is claimed and not waiting (it is inside the
+        // window), so it finishes and this wait ends.
+        while s >= st.next + self.window && !st.stop {
+            st = self.turn.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        if st.stop {
+            return None;
+        }
+        Some((s, st.spares.pop()))
+    }
+
+    /// Shard `s` reached mid-shard boundary `bi` with accumulator `acc`:
+    /// snapshot now if the prefix has reached `s`, else park a clone.
+    fn offer_partial(&self, bi: usize, s: usize, acc: &A) {
+        let mut st = self.lock();
+        if !st.intact {
+            return;
+        }
+        if s == st.next && st.emitted == bi {
+            self.emit_with(st.prefix.as_ref(), self.boundaries[bi], acc);
+            st.emitted += 1;
+        } else {
+            st.partials.insert((bi, s), acc.clone());
+        }
+    }
+
+    /// Hands in shard `s`'s outcome — its accumulator, `None` if it
+    /// stopped short, or a panic payload — and folds every shard that is
+    /// now next in line.
+    fn deliver(&self, s: usize, outcome: thread::Result<Option<A>>) {
+        let mut st = self.lock();
+        let slot = outcome.unwrap_or_else(|payload| {
+            st.panics.insert(s, payload);
+            None
+        });
+        st.stop |= slot.is_none();
+        st.pending.insert(s, slot);
+        // A panicking merge or emit must not strand the workers waiting
+        // on the window: record it against this shard and stop the run.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.advance(&mut st))) {
+            st.panics.entry(s).or_insert(payload);
+            st.stop = true;
+        }
+        drop(st);
+        self.turn.notify_all();
+    }
+
+    /// Emits the ready snapshots, folds shard `next` if it is in, and
+    /// repeats until the next shard in line is still running.
+    fn advance(&self, st: &mut Ledger<A>) {
+        loop {
+            self.emit_ready(st);
+            let next = st.next;
+            let Some(slot) = st.pending.remove(&next) else { return };
+            match (slot, &mut st.prefix) {
+                (Some(acc), _) if !st.intact => drop(acc),
+                (Some(acc), Some(prefix)) => {
+                    (self.merge)(prefix, &acc);
+                    // Each spare stands in for a window slot that has
+                    // not started yet, so the jobs + 1 bound holds.
+                    st.spares.push(acc);
+                }
+                (Some(acc), prefix @ None) => *prefix = Some(acc),
+                (None, _) => {
+                    // Everything from here on is discarded.
+                    st.intact = false;
+                    st.prefix = None;
+                    st.partials.clear();
                 }
             }
-        });
+            st.next += 1;
+        }
     }
 
-    let mut st = state.lock().expect("snapshot ledger poisoned");
-    let finals = std::mem::take(&mut st.finals);
-    drop(st);
-    if finals.iter().any(Option::is_none) {
-        // At least one shard stopped short: the run is interrupted even
-        // if the token was cancelled a moment after other shards ended.
-        return Err(Interrupted {
-            reason: token.reason().unwrap_or(CancelReason::Cancelled),
-            completed_trials: done.load(Ordering::Relaxed),
-        });
+    /// Emits, in order, every boundary the prefix over `0..next` can
+    /// serve: the edge of shard `next`, and boundaries inside it whose
+    /// clone is parked.
+    fn emit_ready(&self, st: &mut Ledger<A>) {
+        while st.intact && st.emitted < self.boundaries.len() {
+            let (bi, b) = (st.emitted, self.boundaries[st.emitted]);
+            // With every shard folded, only the final boundary is left.
+            if self.ranges.get(st.next).is_none_or(|r| r.start == b) {
+                if let Some(prefix) = &st.prefix {
+                    (self.emit)(b, prefix);
+                }
+            } else if let Some(part) = st.partials.remove(&(bi, st.next)) {
+                self.emit_with(st.prefix.as_ref(), b, &part);
+            } else {
+                return;
+            }
+            st.emitted += 1;
+        }
     }
-    Ok(merge_shards(finals.into_iter().flatten().collect(), |a, b| merge(a, &b)))
+
+    /// Emits the snapshot at boundary `b`: `prefix` merged with the
+    /// boundary shard's accumulator `part`, in that order.
+    fn emit_with(&self, prefix: Option<&A>, b: usize, part: &A) {
+        match prefix {
+            None => (self.emit)(b, part),
+            Some(prefix) => {
+                let mut snapshot = prefix.clone();
+                (self.merge)(&mut snapshot, part);
+                (self.emit)(b, &snapshot);
+            }
+        }
+    }
 }
 
 /// A trial that panicked inside [`catch_trial`], as data: the campaign
@@ -1087,7 +1294,7 @@ mod tests {
             jobs,
             n,
             cadence,
-            || 0.1f64,
+            &0.1f64,
             |acc, i| {
                 *acc += (i as f64).sqrt() * 1e-3;
                 *acc *= 1.000_000_1;
@@ -1172,7 +1379,7 @@ mod tests {
             Jobs::new(4).expect("nonzero"),
             200,
             64,
-            Vec::new,
+            &Vec::new(),
             |acc: &mut Vec<usize>, i| acc.push(i),
             |a, b| a.extend_from_slice(b),
             |b, snap: &Vec<usize>| {
@@ -1287,7 +1494,7 @@ mod tests {
                 1000,
                 100,
                 &token,
-                || 0.1f64,
+                &0.1f64,
                 |acc, i| {
                     *acc += (i as f64).sqrt() * 1e-3;
                     *acc *= 1.000_000_1;
@@ -1316,20 +1523,24 @@ mod tests {
         // trial folded must not discard a complete run.
         let (_, reference) = snapshotted_fold(Jobs::new(3).expect("jobs"), 500, 0);
         let token = CancelToken::new();
+        let merges = AtomicUsize::new(0);
         let result = run_sharded_snapshotted_cancellable(
             Jobs::new(3).expect("jobs"),
             500,
             0,
             &token,
-            || 0.1f64,
+            &0.1f64,
             |acc, i| {
                 *acc += (i as f64).sqrt() * 1e-3;
                 *acc *= 1.000_000_1;
             },
             |a, b| {
-                // Fires only during the final merge (cadence 0 emits the
-                // final snapshot after all folds are done).
-                token.cancel(CancelReason::DeadlineExceeded);
+                // Shards merge in order as they complete, so the last of
+                // the SHARDS - 1 merges folds the final shard: it runs
+                // after every trial has folded.
+                if merges.fetch_add(1, Ordering::SeqCst) == SHARDS - 2 {
+                    token.cancel(CancelReason::DeadlineExceeded);
+                }
                 *a = *a * 0.5 + b
             },
             |_, _| {},
@@ -1346,7 +1557,7 @@ mod tests {
             300,
             50,
             &token,
-            || 0u64,
+            &0u64,
             |acc, i| *acc += i as u64,
             |a, b| *a += b,
             |_, _| {},
@@ -1469,6 +1680,253 @@ mod tests {
         for jobs in [2usize, 4, 7] {
             let par = par_map_caught(Jobs::new(jobs).expect("nonzero"), 300, f);
             assert_eq!(par, serial, "jobs = {jobs}");
+        }
+    }
+
+    /// The non-associative float fold the bit-identity tests use.
+    fn float_fold(acc: &mut f64, i: usize) {
+        *acc += (i as f64).sqrt() * 1e-3;
+        *acc *= 1.000_000_1;
+    }
+
+    fn float_merge(a: &mut f64, b: &f64) {
+        *a = *a * 0.5 + b;
+    }
+
+    #[test]
+    fn fold_sharded_is_bit_identical_to_merging_run_sharded() {
+        for n in [0usize, 1, 31, 32, 33, 100] {
+            let reference = merge_shards(
+                run_sharded(Jobs::serial(), n, |_, range| {
+                    let mut acc = 0.1f64;
+                    range.for_each(|i| float_fold(&mut acc, i));
+                    acc
+                }),
+                |a, b| float_merge(a, &b),
+            );
+            for jobs in [1usize, 2, 4, 7] {
+                let folded = fold_sharded(
+                    Jobs::new(jobs).expect("nonzero"),
+                    n,
+                    &CancelToken::new(),
+                    &0.1f64,
+                    float_fold,
+                    float_merge,
+                )
+                .expect("never cancelled");
+                assert_eq!(
+                    folded.map(f64::to_bits),
+                    reference.map(f64::to_bits),
+                    "n {n} jobs {jobs}"
+                );
+            }
+        }
+    }
+
+    /// Live, high-water and total instance counts of [`Counted`]
+    /// accumulators.
+    #[derive(Default)]
+    struct Census {
+        live: AtomicUsize,
+        peak: AtomicUsize,
+        births: AtomicUsize,
+    }
+
+    impl Census {
+        fn born(&self) {
+            self.births.fetch_add(1, Ordering::SeqCst);
+            let now = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+        }
+    }
+
+    /// An accumulator that reports its births (new and cloned) and
+    /// deaths; `clone_from` reuses the instance, as a buffer-keeping
+    /// accumulator would.
+    struct Counted<'a> {
+        sum: u64,
+        census: &'a Census,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(census: &'a Census) -> Self {
+            census.born();
+            Counted { sum: 0, census }
+        }
+    }
+
+    impl Clone for Counted<'_> {
+        fn clone(&self) -> Self {
+            self.census.born();
+            Counted { sum: self.sum, census: self.census }
+        }
+
+        fn clone_from(&mut self, source: &Self) {
+            self.sum = source.sum;
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.census.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Uneven trial cost, so shards finish out of order.
+    fn jitter(i: usize) {
+        thread::sleep(Duration::from_micros(((i * 7919) % 13) as u64 * 40));
+    }
+
+    #[test]
+    fn fold_holds_at_most_jobs_plus_one_accumulators() {
+        for jobs in [1usize, 2, 3, 4, 7] {
+            for cadence in [0usize, 16, 7] {
+                let census = Census::default();
+                let proto = Counted::new(&census);
+                let jobs = Jobs::new(jobs).expect("nonzero");
+                let snapshots = AtomicUsize::new(0);
+                let result = run_sharded_snapshotted(
+                    jobs,
+                    200,
+                    cadence,
+                    &proto,
+                    |acc, i| {
+                        jitter(i);
+                        acc.sum += i as u64;
+                    },
+                    |a, b| a.sum += b.sum,
+                    |b, snap| {
+                        assert_eq!(snap.sum, (0..b as u64).sum::<u64>(), "snapshot at {b}");
+                        snapshots.fetch_add(1, Ordering::SeqCst);
+                    },
+                )
+                .expect("non-empty");
+                assert_eq!(result.sum, (0..200).sum::<u64>());
+                drop(result);
+                // The caller's prototype is not the fold's to count.
+                let peak = census.peak.load(Ordering::SeqCst) - 1;
+                drop(proto);
+                assert!(
+                    peak <= peak_accumulators(jobs, 200, cadence),
+                    "{jobs:?} c{cadence}: {peak}"
+                );
+                if cadence == 0 {
+                    assert!(peak <= jobs.get() + 1, "{jobs:?}: {peak} accumulators live");
+                    // Merged-away accumulators are reused, not reallocated:
+                    // the prototype plus one per window slot and the prefix.
+                    let births = census.births.load(Ordering::SeqCst);
+                    assert!(births <= 1 + jobs.get() + 1, "{jobs:?}: {births} allocated");
+                }
+                assert_eq!(census.live.load(Ordering::SeqCst), 0, "every accumulator dropped");
+                assert_eq!(snapshots.into_inner(), snapshot_boundaries(200, cadence).len());
+            }
+        }
+    }
+
+    #[test]
+    fn peak_accumulators_counts_the_window_and_mid_shard_snapshots() {
+        let jobs = |n| Jobs::new(n).expect("nonzero");
+        assert_eq!(peak_accumulators(jobs(2), 0, 0), 0);
+        assert_eq!(peak_accumulators(jobs(2), 1, 0), 2);
+        assert_eq!(peak_accumulators(jobs(1), 1000, 0), 2);
+        assert_eq!(peak_accumulators(jobs(4), 1000, 0), 5);
+        assert_eq!(peak_accumulators(jobs(64), 1000, 0), SHARDS + 1);
+        // 32 one-trial shards: every boundary sits on a shard edge.
+        assert_eq!(peak_accumulators(jobs(2), 32, 8), 3);
+        // 1000 trials at cadence 10: up to 3 boundaries inside a 31- or
+        // 32-trial shard, parked by the one shard running ahead.
+        assert_eq!(peak_accumulators(jobs(2), 1000, 10), 3 + 1 + 3);
+    }
+
+    #[test]
+    fn fold_reraises_the_lowest_panic_without_stranding_waiters() {
+        for jobs in [1usize, 2, 4, 7] {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                fold_sharded(
+                    Jobs::new(jobs).expect("nonzero"),
+                    320,
+                    &CancelToken::new(),
+                    &0u64,
+                    |acc, i| {
+                        // Shard 3 is slow, so later shards finish first
+                        // and their workers wait on the window.
+                        if i / 10 == 3 {
+                            thread::sleep(Duration::from_millis(2));
+                        }
+                        if i == 35 {
+                            panic!("shard 3");
+                        }
+                        if i == 95 {
+                            panic!("shard 9");
+                        }
+                        *acc += i as u64;
+                    },
+                    |a, b| *a += b,
+                )
+            }))
+            .expect_err("must panic");
+            let msg = err.downcast_ref::<&str>().copied().expect("str payload");
+            assert_eq!(msg, "shard 3", "jobs = {jobs}");
+        }
+    }
+
+    #[test]
+    fn fold_cancel_reports_the_trials_folded() {
+        for jobs in [1usize, 2, 4] {
+            let token = CancelToken::new();
+            let folded = AtomicUsize::new(0);
+            let err = fold_sharded(
+                Jobs::new(jobs).expect("nonzero"),
+                1_000,
+                &token,
+                &0u64,
+                |acc, i| {
+                    jitter(i);
+                    *acc += i as u64;
+                    if folded.fetch_add(1, Ordering::SeqCst) == 99 {
+                        token.cancel(CancelReason::Cancelled);
+                    }
+                },
+                |a, b| *a += b,
+            )
+            .expect_err("must interrupt");
+            assert_eq!(err.reason, CancelReason::Cancelled, "jobs = {jobs}");
+            assert_eq!(err.completed_trials, folded.into_inner(), "jobs = {jobs}");
+            assert!(err.completed_trials >= 100 && err.completed_trials < 1_000, "{err}");
+        }
+    }
+
+    #[test]
+    fn fold_survives_a_lease_shrunk_to_one() {
+        let reference = fold_sharded(
+            Jobs::serial(),
+            1_000,
+            &CancelToken::new(),
+            &0.1f64,
+            float_fold,
+            float_merge,
+        )
+        .expect("never cancelled");
+        for jobs in [2usize, 4] {
+            let budget = ThreadBudget::new(jobs);
+            let lease = budget.lease(jobs);
+            let token = CancelToken::for_job(None, Some(lease.clone()));
+            let folded = AtomicUsize::new(0);
+            let shrunk = fold_sharded(
+                Jobs::new(jobs).expect("nonzero"),
+                1_000,
+                &token,
+                &0.1f64,
+                |acc, i| {
+                    if folded.fetch_add(1, Ordering::SeqCst) == 150 {
+                        lease.shrink(1);
+                    }
+                    float_fold(acc, i);
+                },
+                float_merge,
+            )
+            .expect("a shrink never cancels the run");
+            assert_eq!(shrunk.map(f64::to_bits), reference.map(f64::to_bits), "jobs = {jobs}");
         }
     }
 }
