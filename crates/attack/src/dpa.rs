@@ -10,18 +10,15 @@
 //! guess.
 
 use crate::online::OnlineDpa;
-use crate::progress::AttackProgress;
 use crate::stats::{difference_of_means, peak, TraceMatrix};
 use emask_des::bits::permute;
 use emask_des::cipher::sbox_lookup;
 use emask_des::tables::{E, IP};
-use emask_par::{
-    fold_sharded, par_map, run_sharded_snapshotted_cancellable, trial_seed, CancelToken,
-    Interrupted, Jobs,
-};
+use emask_par::{fold_sharded, par_map, trial_seed, CancelToken, Interrupted, Jobs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::sync::Mutex;
 
 /// DPA campaign parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,66 +103,21 @@ pub fn sbox_chunk(plaintext: u64, sbox: usize) -> u8 {
     ((expanded >> (42 - 6 * sbox)) & 0x3F) as u8
 }
 
-/// Collects the trace set for a campaign: `samples` random plaintexts and
-/// their traces from `oracle`.
-///
-/// # Panics
-///
-/// Panics if `samples == 0`.
-pub fn collect_traces<F>(oracle: F, samples: usize, seed: u64) -> (Vec<u64>, Vec<Vec<f64>>)
-where
-    F: FnMut(u64) -> Vec<f64>,
-{
-    collect_traces_with(oracle, samples, seed, &mut ())
-}
-
-/// [`collect_traces`] with per-trace progress reporting:
-/// [`AttackProgress::on_trace`] fires as each trace lands — the campaign's
-/// dominant cost against the cycle-accurate simulator.
-///
-/// # Panics
-///
-/// Panics if `samples == 0`.
-pub fn collect_traces_with<F, P>(
-    mut oracle: F,
-    samples: usize,
-    seed: u64,
-    progress: &mut P,
-) -> (Vec<u64>, Vec<Vec<f64>>)
-where
-    F: FnMut(u64) -> Vec<f64>,
-    P: AttackProgress,
-{
-    assert!(samples > 0, "need at least one sample");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plaintexts: Vec<u64> = (0..samples).map(|_| rng.gen()).collect();
-    let traces: Vec<Vec<f64>> = plaintexts
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let t = oracle(p);
-            progress.on_trace(i, samples, t.len());
-            t
-        })
-        .collect();
-    (plaintexts, traces)
-}
-
 /// The plaintext of trial `index` in a seed-per-trial campaign: drawn from
 /// an RNG seeded with [`trial_seed`]`(seed, index)`, so it is a pure
 /// function of the pair — any worker can produce trial `index`'s input
-/// without consuming a shared RNG stream. The parallel entry points use
-/// this instead of the sequential draw in [`collect_traces`], which is why
-/// their trace sets differ from the legacy serial ones (but are identical
-/// across `--jobs` counts).
+/// without consuming a shared RNG stream, so every campaign's trace set is
+/// identical across `--jobs` counts.
 #[must_use]
 pub fn plaintext_for(seed: u64, index: u64) -> u64 {
     StdRng::seed_from_u64(trial_seed(seed, index)).gen()
 }
 
-/// Parallel [`collect_traces`]: shards acquisition across `jobs` workers
-/// with per-trial plaintexts from [`plaintext_for`]. The returned vectors
-/// are in trial order and identical for any `jobs` value.
+/// Collects the trace set of a campaign — `samples` plaintexts from
+/// [`plaintext_for`] and their traces from `oracle` — sharding acquisition
+/// across `jobs` workers. The returned vectors are in trial order and
+/// identical for any `jobs` value. This is the input of the batch
+/// [`analyze_bit`] reference; campaigns fold traces as they land instead.
 ///
 /// # Panics
 ///
@@ -189,7 +141,9 @@ where
 }
 
 /// Partition-and-difference analysis over an already-collected trace set:
-/// the peak |difference of means| per guess for one selection bit.
+/// the peak |difference of means| per guess for one selection bit — the
+/// textbook two-pass form of the statistic [`OnlineDpa`] accumulates in
+/// one pass, kept as its reference.
 ///
 /// # Panics
 ///
@@ -240,124 +194,112 @@ pub(crate) fn result_from_peaks(peaks: [f64; 64], peak_cycles: [usize; 64]) -> D
     DpaResult { peaks, peak_cycles, best_guess, margin }
 }
 
-/// Runs a single-bit DPA campaign. `oracle` maps a plaintext to its power
-/// trace — the physical measurement in the field, the simulator here.
-///
-/// # Panics
-///
-/// Panics if the configuration is out of range or `samples == 0`.
-pub fn recover_subkey<F>(oracle: F, cfg: &DpaConfig) -> DpaResult
-where
-    F: FnMut(u64) -> Vec<f64>,
-{
-    recover_subkey_with(oracle, cfg, &mut ())
-}
-
-/// [`recover_subkey`] with progress reporting: per-trace collection,
-/// per-guess difference-of-means peaks, and the final verdict.
-///
-/// # Panics
-///
-/// As for [`recover_subkey`].
-pub fn recover_subkey_with<F, P>(oracle: F, cfg: &DpaConfig, progress: &mut P) -> DpaResult
-where
-    F: FnMut(u64) -> Vec<f64>,
-    P: AttackProgress,
-{
-    let (plaintexts, traces) = collect_traces_with(oracle, cfg.samples, cfg.seed, progress);
-    let (peaks, cycles) = analyze_bit(&plaintexts, &traces, cfg.sbox, cfg.bit);
-    for g in 0..64 {
-        progress.on_guess(g as u8, peaks[g], cycles[g]);
+/// Ranks the 64 subkey guesses by their peak statistic: `ranks[g]` is the
+/// 0-based rank of guess `g`, with rank 0 the leading guess. Ties break
+/// toward the *higher* guess index, matching the argmax the DPA verdict
+/// uses, so rank 0 always names [`DpaResult::best_guess`]. The rank of the
+/// true subkey over a campaign is the standard key-rank convergence curve.
+#[must_use]
+pub fn guess_ranks(peaks: &[f64; 64]) -> [u8; 64] {
+    let mut order: [u8; 64] = std::array::from_fn(|i| i as u8);
+    order.sort_by(|&a, &b| peaks[b as usize].total_cmp(&peaks[a as usize]).then_with(|| b.cmp(&a)));
+    let mut ranks = [0u8; 64];
+    for (rank, &guess) in order.iter().enumerate() {
+        ranks[guess as usize] = rank as u8;
     }
-    let result = result_from_peaks(peaks, cycles);
-    progress.on_complete(result.best_guess, result.margin);
-    result
+    ranks
 }
 
-/// Multi-bit DPA: aggregates the difference-of-means peaks of **all four**
-/// output bits of the targeted S-box per guess. DES single-bit DPA suffers
-/// well-known ghost peaks (wrong guesses whose selection bit correlates
-/// with the true one); the four bits decorrelate differently per guess, so
-/// summing their peaks suppresses ghosts at the same trace budget.
+/// The DPA campaign driver: folds `samples` trials into copies of `proto`
+/// across `jobs` workers through [`fold_sharded`], so memory stays
+/// O((jobs + 1) × guesses × trace_len) whatever the sample count and the
+/// result is bit-identical for any `jobs` value.
+///
+/// `trial(i)` acquires trial `i` and returns its `(plaintext, trace)`;
+/// the entry points draw the plaintext from [`plaintext_for`]. Every
+/// `cadence` trials (and once at the end; `cadence == 0` means final
+/// only) the merged result over trials `0..b` is handed to
+/// `on_snapshot(b, &result)` — the full 64-guess peak vector, in ascending
+/// `b`, bit-identical at any `jobs` count. A slow `on_snapshot`
+/// backpressures the delivering worker rather than buffering unboundedly.
+///
+/// `token` is checked at every trial boundary: a trip (client cancel,
+/// deadline, shutdown) stops the campaign with a typed [`Interrupted`],
+/// and the snapshots delivered before it are a bit-identical prefix of
+/// the uninterrupted stream. A token that trips after the last trial has
+/// folded has no effect: a completed run is always delivered.
+///
+/// # Errors
+///
+/// [`Interrupted`] if the token trips before every trial has been folded.
 ///
 /// # Panics
 ///
-/// As for [`recover_subkey`].
-pub fn recover_subkey_multibit<F>(oracle: F, cfg: &DpaConfig) -> DpaResult
-where
-    F: FnMut(u64) -> Vec<f64>,
-{
-    recover_subkey_multibit_with(oracle, cfg, &mut ())
-}
-
-/// [`recover_subkey_multibit`] with progress reporting; per-guess events
-/// carry the four-bit aggregate peak.
-///
-/// # Panics
-///
-/// As for [`recover_subkey`].
-pub fn recover_subkey_multibit_with<F, P>(oracle: F, cfg: &DpaConfig, progress: &mut P) -> DpaResult
-where
-    F: FnMut(u64) -> Vec<f64>,
-    P: AttackProgress,
-{
-    let (plaintexts, traces) = collect_traces_with(oracle, cfg.samples, cfg.seed, progress);
-    let mut peaks = [0.0f64; 64];
-    let mut peak_cycles = [0usize; 64];
-    for bit in 0..4 {
-        let (p, c) = analyze_bit(&plaintexts, &traces, cfg.sbox, bit);
-        for g in 0..64 {
-            peaks[g] += p[g];
-            if bit == cfg.bit {
-                peak_cycles[g] = c[g];
-            }
-        }
-    }
-    for g in 0..64 {
-        progress.on_guess(g as u8, peaks[g], peak_cycles[g]);
-    }
-    let result = result_from_peaks(peaks, peak_cycles);
-    progress.on_complete(result.best_guess, result.margin);
-    result
-}
-
-/// Shards a streaming-DPA campaign across `jobs` workers: each shard folds
-/// its trials into a clone of `proto`, and the shards fold into one
-/// running accumulator in fixed order as they complete.
-fn run_online_dpa<F>(
-    oracle: &F,
+/// Panics if `samples == 0`, or if traces of different widths arrive.
+pub fn dpa_campaign<T, S>(
+    proto: &OnlineDpa,
     samples: usize,
-    seed: u64,
     jobs: Jobs,
-    proto: OnlineDpa,
-) -> DpaResult
+    cadence: usize,
+    token: &CancelToken,
+    trial: T,
+    on_snapshot: S,
+) -> Result<DpaResult, Interrupted>
+where
+    T: Fn(usize) -> (u64, Vec<f64>) + Sync,
+    S: Fn(usize, &DpaResult) + Sync,
+{
+    assert!(samples > 0, "need at least one sample");
+    // The snapshot at the final boundary is the campaign's result, so it
+    // is kept rather than finalized a second time.
+    let last = Mutex::new(None);
+    fold_sharded(
+        jobs,
+        samples,
+        cadence,
+        token,
+        proto,
+        |acc: &mut OnlineDpa, i| {
+            let (p, trace) = trial(i);
+            acc.push(p, &trace).expect("oracle produced a misaligned trace");
+        },
+        |a, b| a.merge(b).expect("shards saw traces of different widths"),
+        |trials, acc| {
+            let result = acc.result();
+            on_snapshot(trials, &result);
+            if trials == samples {
+                *last.lock().expect("a snapshot panicked") = Some(result);
+            }
+        },
+    )?;
+    Ok(last
+        .into_inner()
+        .expect("a snapshot panicked")
+        .expect("a completed fold emits its final boundary"))
+}
+
+/// [`dpa_campaign`] over `oracle` with per-trial plaintexts from
+/// [`plaintext_for`]`(cfg.seed, i)`, uncancelled and without snapshots.
+fn recover_with<F>(oracle: &F, cfg: &DpaConfig, jobs: Jobs, proto: &OnlineDpa) -> DpaResult
 where
     F: Fn(u64) -> Vec<f64> + Sync,
 {
-    assert!(samples > 0, "need at least one sample");
-    let acc = fold_sharded(
-        jobs,
-        samples,
-        &CancelToken::new(),
-        &proto,
-        |acc: &mut OnlineDpa, i| {
-            let p = plaintext_for(seed, i as u64);
-            acc.push(p, &oracle(p)).expect("oracle produced a misaligned trace");
-        },
-        |a, b| a.merge(b).expect("shards saw traces of different widths"),
-    );
-    match acc {
-        Ok(acc) => acc.unwrap_or(proto).result(),
+    let trial = |i: usize| {
+        let p = plaintext_for(cfg.seed, i as u64);
+        (p, oracle(p))
+    };
+    match dpa_campaign(proto, cfg.samples, jobs, 0, &CancelToken::new(), trial, |_, _| {}) {
+        Ok(result) => result,
         Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
     }
 }
 
-/// Parallel, single-pass [`recover_subkey`]: trace acquisition is sharded
-/// across `jobs` workers and each trace is folded straight into an
-/// [`OnlineDpa`] accumulator — memory stays O((jobs + 1) × guesses ×
-/// trace_len) regardless of `cfg.samples`, and the result is
-/// bit-identical for any `jobs` value. Plaintexts come from [`plaintext_for`], so the trace set
-/// differs from the sequential-RNG [`recover_subkey`] at the same seed.
+/// Runs a single-bit DPA campaign. `oracle` maps a plaintext to its power
+/// trace — the physical measurement in the field, the simulator here.
+/// Acquisition is sharded across `jobs` workers and each trace is folded
+/// straight into an [`OnlineDpa`] accumulator (see [`dpa_campaign`]);
+/// plaintexts come from [`plaintext_for`], so the result is bit-identical
+/// for any `jobs` value.
 ///
 /// # Panics
 ///
@@ -366,10 +308,14 @@ pub fn recover_subkey_par<F>(oracle: &F, cfg: &DpaConfig, jobs: Jobs) -> DpaResu
 where
     F: Fn(u64) -> Vec<f64> + Sync,
 {
-    run_online_dpa(oracle, cfg.samples, cfg.seed, jobs, OnlineDpa::single(cfg.sbox, cfg.bit))
+    recover_with(oracle, cfg, jobs, &OnlineDpa::single(cfg.sbox, cfg.bit))
 }
 
-/// Parallel, single-pass [`recover_subkey_multibit`]; see
+/// Multi-bit DPA: aggregates the difference-of-means peaks of **all four**
+/// output bits of the targeted S-box per guess. DES single-bit DPA suffers
+/// well-known ghost peaks (wrong guesses whose selection bit correlates
+/// with the true one); the four bits decorrelate differently per guess, so
+/// summing their peaks suppresses ghosts at the same trace budget. See
 /// [`recover_subkey_par`] for the sharding and seeding contract.
 ///
 /// # Panics
@@ -379,105 +325,7 @@ pub fn recover_subkey_multibit_par<F>(oracle: &F, cfg: &DpaConfig, jobs: Jobs) -
 where
     F: Fn(u64) -> Vec<f64> + Sync,
 {
-    run_online_dpa(oracle, cfg.samples, cfg.seed, jobs, OnlineDpa::multibit(cfg.sbox, cfg.bit))
-}
-
-/// [`recover_subkey_multibit_par`] with a live convergence feed: every
-/// `cadence` trials (and once at the end) the merged accumulator over
-/// trials `0..b` is sampled and handed to `on_snapshot(b, &result)` — the
-/// full 64-guess peak vector, so callers can chart key-rank evolution and
-/// best-vs-runner-up margin as the campaign runs. `on_trial(i)` fires from
-/// the worker that folded trial `i` (unordered, possibly concurrent) for
-/// cheap throughput/ETA accounting.
-///
-/// Snapshots arrive in ascending trial order and are **bit-identical for
-/// any `jobs` count** — see `run_sharded_snapshotted` for the merge-order
-/// contract. `cadence == 0` emits only the final snapshot. A slow
-/// `on_snapshot` backpressures the delivering worker rather than buffering
-/// unboundedly.
-///
-/// # Panics
-///
-/// Panics if the configuration is out of range or `samples == 0`.
-pub fn recover_subkey_multibit_par_snapshotted<F, S, T>(
-    oracle: &F,
-    cfg: &DpaConfig,
-    jobs: Jobs,
-    cadence: usize,
-    on_snapshot: S,
-    on_trial: T,
-) -> DpaResult
-where
-    F: Fn(u64) -> Vec<f64> + Sync,
-    S: Fn(usize, &DpaResult) + Sync,
-    T: Fn(usize) + Sync,
-{
-    match recover_subkey_multibit_par_snapshotted_cancellable(
-        oracle,
-        cfg,
-        jobs,
-        cadence,
-        &CancelToken::new(),
-        on_snapshot,
-        on_trial,
-    ) {
-        Ok(result) => result,
-        Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
-    }
-}
-
-/// [`recover_subkey_multibit_par_snapshotted`] under a cooperative
-/// [`CancelToken`]: the token is checked at every trial boundary, and a
-/// trip (client cancel, deadline, shutdown) stops the campaign cleanly
-/// with a typed [`Interrupted`] carrying the number of fully folded
-/// trials. The snapshot stream delivered before the interrupt is a
-/// **prefix** of the uninterrupted stream — byte-identical snapshots in
-/// the same ascending order — so supervision (emask-serve) can resume the
-/// attack later and splice the streams without re-emitting or diverging.
-/// A token that trips after the last trial folds has no effect: a
-/// completed run is always delivered.
-///
-/// # Errors
-///
-/// Returns [`Interrupted`] if the token trips before every trial has been
-/// folded and merged.
-///
-/// # Panics
-///
-/// Panics if the configuration is out of range or `samples == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_subkey_multibit_par_snapshotted_cancellable<F, S, T>(
-    oracle: &F,
-    cfg: &DpaConfig,
-    jobs: Jobs,
-    cadence: usize,
-    token: &CancelToken,
-    on_snapshot: S,
-    on_trial: T,
-) -> Result<DpaResult, Interrupted>
-where
-    F: Fn(u64) -> Vec<f64> + Sync,
-    S: Fn(usize, &DpaResult) + Sync,
-    T: Fn(usize) + Sync,
-{
-    assert!(cfg.samples > 0, "need at least one sample");
-    let proto = OnlineDpa::multibit(cfg.sbox, cfg.bit);
-    let seed = cfg.seed;
-    let acc = run_sharded_snapshotted_cancellable(
-        jobs,
-        cfg.samples,
-        cadence,
-        token,
-        &proto,
-        |acc: &mut OnlineDpa, i| {
-            let p = plaintext_for(seed, i as u64);
-            acc.push(p, &oracle(p)).expect("oracle produced a misaligned trace");
-            on_trial(i);
-        },
-        |a, b| a.merge(b).expect("shards saw traces of different widths"),
-        |trials, acc| on_snapshot(trials, &acc.result()),
-    )?;
-    Ok(acc.unwrap_or(proto).result())
+    recover_with(oracle, cfg, jobs, &OnlineDpa::multibit(cfg.sbox, cfg.bit))
 }
 
 #[cfg(test)]
@@ -491,7 +339,7 @@ mod tests {
     /// A leakage-model oracle: the trace has one sample whose energy is
     /// proportional to the true selection bit, plus deterministic "noise"
     /// elsewhere — the idealized physical device.
-    fn leaky_oracle(sbox: usize, bit: usize) -> impl FnMut(u64) -> Vec<f64> {
+    fn leaky_oracle(sbox: usize, bit: usize) -> impl Fn(u64) -> Vec<f64> + Sync {
         let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
         move |p: u64| {
             let b = selection_bit(p, subkey, sbox, bit);
@@ -530,7 +378,7 @@ mod tests {
         for sbox in [0usize, 3, 7] {
             let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
             let cfg = DpaConfig { samples: 400, sbox, bit: 0, seed: 42 };
-            let result = recover_subkey(leaky_oracle(sbox, 0), &cfg);
+            let result = recover_subkey_par(&leaky_oracle(sbox, 0), &cfg, Jobs::serial());
             assert!(
                 result.recovered(subkey, 1.5),
                 "S{} expected {subkey:#04X}: {result}",
@@ -542,7 +390,7 @@ mod tests {
     #[test]
     fn dpa_finds_nothing_on_flat_traces() {
         let cfg = DpaConfig { samples: 200, ..DpaConfig::default() };
-        let result = recover_subkey(flat_oracle, &cfg);
+        let result = recover_subkey_par(&flat_oracle, &cfg, Jobs::serial());
         assert!(result.peaks.iter().all(|&p| p < 1e-9), "flat traces must not leak");
         assert!((result.margin - 1.0).abs() < 1e-9);
     }
@@ -551,20 +399,23 @@ mod tests {
     fn dpa_peak_lands_on_the_leaky_cycle() {
         let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(0);
         let cfg = DpaConfig { samples: 400, sbox: 0, bit: 0, seed: 7 };
-        let result = recover_subkey(leaky_oracle(0, 0), &cfg);
+        let result = recover_subkey_par(&leaky_oracle(0, 0), &cfg, Jobs::serial());
         assert_eq!(result.peak_cycles[subkey as usize], 1, "leak injected at cycle 1");
     }
 
     #[test]
     fn margin_reflects_sample_count() {
         // More samples → cleaner partition → larger margin.
-        let small = recover_subkey(
-            leaky_oracle(0, 0),
+        let oracle = leaky_oracle(0, 0);
+        let small = recover_subkey_par(
+            &oracle,
             &DpaConfig { samples: 50, sbox: 0, bit: 0, seed: 3 },
+            Jobs::serial(),
         );
-        let large = recover_subkey(
-            leaky_oracle(0, 0),
+        let large = recover_subkey_par(
+            &oracle,
             &DpaConfig { samples: 800, sbox: 0, bit: 0, seed: 3 },
+            Jobs::serial(),
         );
         assert!(
             large.margin >= small.margin * 0.8,
@@ -578,46 +429,21 @@ mod tests {
     #[test]
     fn result_display_mentions_guess() {
         let cfg = DpaConfig { samples: 100, sbox: 0, bit: 0, seed: 9 };
-        let r = recover_subkey(leaky_oracle(0, 0), &cfg);
+        let r = recover_subkey_par(&leaky_oracle(0, 0), &cfg, Jobs::serial());
         assert!(r.to_string().contains("best guess"));
-    }
-
-    #[test]
-    fn progress_counters_see_the_whole_campaign() {
-        use crate::progress::ProgressCounters;
-        let cfg = DpaConfig { samples: 50, sbox: 0, bit: 0, seed: 11 };
-        let mut prog = ProgressCounters::new();
-        let result = recover_subkey_with(leaky_oracle(0, 0), &cfg, &mut prog);
-        assert_eq!(prog.traces, 50);
-        assert_eq!(prog.trace_samples, 50 * 3);
-        assert_eq!(prog.guesses, 64);
-        assert_eq!(prog.outcome, Some((result.best_guess, result.margin)));
-        assert_eq!(prog.leader.map(|(g, _)| g), Some(result.best_guess));
-        // A genuine leak converges: far fewer lead changes than guesses.
-        assert!(prog.lead_changes < 64);
     }
 
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_samples_rejected() {
         let cfg = DpaConfig { samples: 0, ..DpaConfig::default() };
-        recover_subkey(flat_oracle, &cfg);
-    }
-
-    /// The leaky oracle as a `Fn + Sync` closure for the parallel paths.
-    fn sync_leaky_oracle(sbox: usize, bit: usize) -> impl Fn(u64) -> Vec<f64> + Sync {
-        let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
-        move |p: u64| {
-            let b = selection_bit(p, subkey, sbox, bit);
-            let filler = (p % 17) as f64;
-            vec![100.0 + filler, 100.0 + if b { 25.0 } else { 0.0 }, 100.0 - filler]
-        }
+        recover_subkey_par(&flat_oracle, &cfg, Jobs::serial());
     }
 
     #[test]
     fn parallel_dpa_recovers_subkey_and_ignores_job_count() {
         let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(0);
-        let oracle = sync_leaky_oracle(0, 0);
+        let oracle = leaky_oracle(0, 0);
         let cfg = DpaConfig { samples: 400, sbox: 0, bit: 0, seed: 42 };
         let serial = recover_subkey_par(&oracle, &cfg, Jobs::serial());
         assert!(serial.recovered(subkey, 1.5), "{serial}");
@@ -636,46 +462,57 @@ mod tests {
         assert_eq!(multi, recover_subkey_multibit_par(&hw_oracle, &cfg, Jobs::new(7).unwrap()));
     }
 
-    /// The snapshot stream of a run as comparable bytes: `(trials,
-    /// best_guess, margin bits, peak bits)` per snapshot.
-    fn snapshot_stream(
+    /// One snapshot as comparable bytes: `(trials, best_guess, margin
+    /// bits, peak bits)`.
+    type Snapshot = (usize, u8, u64, Vec<u64>);
+
+    fn snapshot(trials: usize, r: &DpaResult) -> Snapshot {
+        (trials, r.best_guess, r.margin.to_bits(), r.peaks.iter().map(|p| p.to_bits()).collect())
+    }
+
+    /// A multibit [`dpa_campaign`] over the leaky oracle, as the entry
+    /// points drive it.
+    fn campaign<S>(
         cfg: &DpaConfig,
         jobs: usize,
         cadence: usize,
-    ) -> Vec<(usize, u8, u64, Vec<u64>)> {
-        let oracle = sync_leaky_oracle(0, 0);
-        let log = std::sync::Mutex::new(Vec::new());
-        recover_subkey_multibit_par_snapshotted(
-            &oracle,
-            cfg,
+        token: &CancelToken,
+        on_snapshot: S,
+    ) -> Result<DpaResult, Interrupted>
+    where
+        S: Fn(usize, &DpaResult) + Sync,
+    {
+        let oracle = leaky_oracle(0, 0);
+        dpa_campaign(
+            &OnlineDpa::multibit(cfg.sbox, cfg.bit),
+            cfg.samples,
             Jobs::new(jobs).unwrap(),
             cadence,
-            |trials, r: &DpaResult| {
-                log.lock().unwrap().push((
-                    trials,
-                    r.best_guess,
-                    r.margin.to_bits(),
-                    r.peaks.iter().map(|p| p.to_bits()).collect(),
-                ));
+            token,
+            |i| {
+                let p = plaintext_for(cfg.seed, i as u64);
+                (p, oracle(p))
             },
-            |_| {},
-        );
+            on_snapshot,
+        )
+    }
+
+    /// The snapshot stream of an uncancelled multibit campaign.
+    fn snapshot_stream(cfg: &DpaConfig, jobs: usize, cadence: usize) -> Vec<Snapshot> {
+        let log = std::sync::Mutex::new(Vec::new());
+        campaign(cfg, jobs, cadence, &CancelToken::new(), |trials, r| {
+            log.lock().unwrap().push(snapshot(trials, r));
+        })
+        .unwrap();
         log.into_inner().unwrap()
     }
 
     #[test]
     fn snapshotted_dpa_matches_plain_parallel_run_and_any_job_count() {
-        let oracle = sync_leaky_oracle(0, 0);
+        let oracle = leaky_oracle(0, 0);
         let cfg = DpaConfig { samples: 160, sbox: 0, bit: 0, seed: 42 };
         let plain = recover_subkey_multibit_par(&oracle, &cfg, Jobs::new(4).unwrap());
-        let snapped = recover_subkey_multibit_par_snapshotted(
-            &oracle,
-            &cfg,
-            Jobs::new(4).unwrap(),
-            50,
-            |_, _| {},
-            |_| {},
-        );
+        let snapped = campaign(&cfg, 4, 50, &CancelToken::new(), |_, _| {}).unwrap();
         assert_eq!(snapped, plain, "snapshotting must not perturb the verdict");
 
         let serial = snapshot_stream(&cfg, 1, 50);
@@ -687,57 +524,17 @@ mod tests {
     }
 
     #[test]
-    fn uncancelled_snapshotted_cancellable_dpa_is_bit_identical() {
-        let oracle = sync_leaky_oracle(0, 0);
-        let cfg = DpaConfig { samples: 160, sbox: 0, bit: 0, seed: 42 };
-        let plain = recover_subkey_multibit_par_snapshotted(
-            &oracle,
-            &cfg,
-            Jobs::new(4).unwrap(),
-            50,
-            |_, _| {},
-            |_| {},
-        );
-        let token = CancelToken::new();
-        let cancellable = recover_subkey_multibit_par_snapshotted_cancellable(
-            &oracle,
-            &cfg,
-            Jobs::new(4).unwrap(),
-            50,
-            &token,
-            |_, _| {},
-            |_| {},
-        )
-        .expect("untripped token never interrupts");
-        assert_eq!(cancellable, plain, "cancellable harness must be bit-identical");
-    }
-
-    #[test]
     fn cancelled_snapshotted_dpa_streams_a_prefix_then_interrupts() {
         let cfg = DpaConfig { samples: 160, sbox: 0, bit: 0, seed: 42 };
         let full = snapshot_stream(&cfg, 1, 50);
-        let oracle = sync_leaky_oracle(0, 0);
         let token = CancelToken::new();
         let log = std::sync::Mutex::new(Vec::new());
-        let err = recover_subkey_multibit_par_snapshotted_cancellable(
-            &oracle,
-            &cfg,
-            Jobs::new(1).unwrap(),
-            50,
-            &token,
-            |trials, r: &DpaResult| {
-                log.lock().unwrap().push((
-                    trials,
-                    r.best_guess,
-                    r.margin.to_bits(),
-                    r.peaks.iter().map(|p| p.to_bits()).collect::<Vec<u64>>(),
-                ));
-                if trials == 50 {
-                    token.cancel(emask_par::CancelReason::Cancelled);
-                }
-            },
-            |_| {},
-        )
+        let err = campaign(&cfg, 1, 50, &token, |trials, r| {
+            log.lock().unwrap().push(snapshot(trials, r));
+            if trials == 50 {
+                token.cancel(emask_par::CancelReason::Cancelled);
+            }
+        })
         .expect_err("a token tripped mid-run must interrupt");
         assert_eq!(err.reason, emask_par::CancelReason::Cancelled);
         let emitted = log.into_inner().unwrap();
@@ -751,26 +548,30 @@ mod tests {
 
     #[test]
     fn snapshotted_dpa_last_snapshot_is_the_final_verdict() {
-        let oracle = sync_leaky_oracle(0, 0);
+        let oracle = leaky_oracle(0, 0);
         let cfg = DpaConfig { samples: 120, sbox: 0, bit: 0, seed: 9 };
         let last = std::sync::Mutex::new(None);
         let trials_seen = std::sync::atomic::AtomicUsize::new(0);
-        let result = recover_subkey_multibit_par_snapshotted(
-            &oracle,
-            &cfg,
+        let result = dpa_campaign(
+            &OnlineDpa::multibit(cfg.sbox, cfg.bit),
+            cfg.samples,
             Jobs::new(2).unwrap(),
             0, // final-only cadence
+            &CancelToken::new(),
+            |i| {
+                trials_seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let p = plaintext_for(cfg.seed, i as u64);
+                (p, oracle(p))
+            },
             |trials, r: &DpaResult| {
                 *last.lock().unwrap() = Some((trials, r.clone()));
             },
-            |_| {
-                trials_seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            },
-        );
+        )
+        .unwrap();
         let (trials, snap) = last.into_inner().unwrap().expect("final snapshot fired");
         assert_eq!(trials, 120);
         assert_eq!(snap, result);
-        assert_eq!(trials_seen.into_inner(), 120, "on_trial fires once per trial");
+        assert_eq!(trials_seen.into_inner(), 120, "every trial acquired once");
     }
 
     #[test]
@@ -781,5 +582,33 @@ mod tests {
         assert_eq!(p1, p4);
         assert_eq!(t1, t4);
         assert_eq!(p1[3], plaintext_for(7, 3));
+    }
+
+    #[test]
+    fn guess_ranks_orders_by_peak_descending() {
+        let mut peaks = [0.0f64; 64];
+        peaks[5] = 3.0;
+        peaks[17] = 2.0;
+        peaks[40] = 1.0;
+        let ranks = guess_ranks(&peaks);
+        assert_eq!(ranks[5], 0);
+        assert_eq!(ranks[17], 1);
+        assert_eq!(ranks[40], 2);
+        // Every rank 0..64 appears exactly once.
+        let mut seen = [false; 64];
+        for &r in &ranks {
+            assert!(!seen[r as usize], "rank {r} assigned twice");
+            seen[r as usize] = true;
+        }
+    }
+
+    #[test]
+    fn guess_ranks_ties_break_toward_higher_guess() {
+        // All-equal peaks: the verdict's `max_by` keeps the last maximum,
+        // so rank 0 must be guess 63.
+        let peaks = [1.0f64; 64];
+        let ranks = guess_ranks(&peaks);
+        assert_eq!(ranks[63], 0);
+        assert_eq!(ranks[0], 63);
     }
 }

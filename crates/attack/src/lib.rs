@@ -25,12 +25,13 @@
 //!   entry points.
 //!
 //! The attack code is generic over a *trace oracle* — any
-//! `FnMut(u64 plaintext) -> Vec<f64>` — so it runs identically against
+//! `Fn(u64 plaintext) -> Vec<f64> + Sync` — so it runs identically against
 //! the cycle-accurate simulator and against synthetic leakage models used
-//! in unit tests. The `_par` entry points ([`recover_subkey_par`],
-//! [`cpa_recover_subkey_par`]) additionally require the oracle to be
-//! `Fn + Sync` and shard trace acquisition across an `emask-par` worker
-//! pool; their results are bit-identical for any `--jobs` count.
+//! in unit tests. Every campaign ([`dpa_campaign`] behind
+//! [`recover_subkey_par`] and [`recover_subkey_multibit_par`], and
+//! [`cpa_recover_subkey_par`]) shards trace acquisition across an
+//! `emask-par` worker pool and folds each trace into a single-pass
+//! accumulator; results are bit-identical for any `--jobs` count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,23 +40,16 @@
 pub mod cpa;
 pub mod dpa;
 pub mod online;
-pub mod progress;
 pub mod spa;
 pub mod stats;
 
-pub use cpa::{
-    cpa_recover_subkey, cpa_recover_subkey_par, cpa_recover_subkey_par_cancellable,
-    cpa_recover_subkey_with, predicted_hamming_weight, CpaConfig, CpaResult,
-};
+pub use cpa::{cpa_recover_subkey_par, predicted_hamming_weight, CpaConfig, CpaResult};
 pub use dpa::{
-    analyze_bit, collect_traces, collect_traces_par, collect_traces_with, plaintext_for,
-    recover_subkey, recover_subkey_multibit, recover_subkey_multibit_par,
-    recover_subkey_multibit_par_snapshotted, recover_subkey_multibit_par_snapshotted_cancellable,
-    recover_subkey_multibit_with, recover_subkey_par, recover_subkey_with, sbox_chunk,
-    selection_bit, DpaConfig, DpaResult,
+    analyze_bit, collect_traces_par, dpa_campaign, guess_ranks, plaintext_for,
+    recover_subkey_multibit_par, recover_subkey_par, sbox_chunk, selection_bit, DpaConfig,
+    DpaResult,
 };
 pub use online::{OnlineCpa, OnlineDpa, OnlineWelch, Welford};
-pub use progress::{guess_ranks, AttackProgress, ProgressCounters};
 pub use spa::{detect_rounds, SpaReport};
 pub use stats::{
     difference_of_means, difference_of_means_checked, mean_trace, welch_t, welch_t_checked,

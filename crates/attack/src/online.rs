@@ -216,7 +216,7 @@ pub struct OnlineDpa {
 
 impl OnlineDpa {
     /// Single-bit DPA on output `bit` of `sbox` — the streaming
-    /// equivalent of [`crate::dpa::recover_subkey`]'s analysis.
+    /// equivalent of [`crate::dpa::analyze_bit`].
     ///
     /// # Panics
     ///
@@ -227,7 +227,7 @@ impl OnlineDpa {
 
     /// Multi-bit DPA aggregating all four output bits of `sbox`, with
     /// peak cycles reported for `report_bit` — the streaming equivalent
-    /// of [`crate::dpa::recover_subkey_multibit`]'s analysis.
+    /// of [`crate::dpa::analyze_bit`] summed over the four bits.
     ///
     /// # Panics
     ///
@@ -423,7 +423,7 @@ impl Clone for OnlineDpa {
 /// Keeps the per-cycle trace sums shared across guesses and one
 /// cross-moment vector per guess — O(guesses × trace_len), independent of
 /// the sample count. Finalizing evaluates the same Pearson-correlation
-/// formula as the batch [`crate::cpa::cpa_recover_subkey`].
+/// formula as the textbook two-pass computation over a trace matrix.
 #[derive(Debug, PartialEq)]
 pub struct OnlineCpa {
     sbox: usize,
@@ -835,20 +835,18 @@ mod tests {
 
     #[test]
     fn online_cpa_matches_batch_result() {
-        use crate::cpa::{cpa_recover_subkey, CpaConfig};
+        use crate::cpa::batch_cpa;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // The batch entry draws its own plaintexts from the config seed;
-        // replay the same draw here so both paths see identical data.
-        let cfg = CpaConfig { samples: 64, sbox: 3, seed: 99 };
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let plaintexts: Vec<u64> = (0..cfg.samples).map(|_| rng.gen()).collect();
+        let mut rng = StdRng::seed_from_u64(99);
+        let plaintexts: Vec<u64> = (0..64).map(|_| rng.gen()).collect();
         let oracle = |p: u64| {
             let chunk = sbox_chunk(p, 3);
             let h = f64::from(sbox_lookup(3, chunk ^ 0x15).count_ones());
             vec![50.0 + (p % 9) as f64, 100.0 + 4.0 * h]
         };
-        let batch = cpa_recover_subkey(oracle, &cfg);
+        let traces: Vec<Vec<f64>> = plaintexts.iter().map(|&p| oracle(p)).collect();
+        let batch = batch_cpa(&plaintexts, &traces, 3);
         let mut acc = OnlineCpa::new(3);
         for &p in &plaintexts {
             acc.push(p, &oracle(p)).unwrap();

@@ -3,10 +3,11 @@
 //! cost is measured separately from the simulator cost).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use emask_attack::dpa::{analyze_bit, collect_traces, selection_bit};
+use emask_attack::dpa::{analyze_bit, collect_traces_par, selection_bit};
 use emask_attack::spa::detect_rounds;
 use emask_attack::stats::{difference_of_means, welch_t, TraceMatrix};
 use emask_des::KeySchedule;
+use emask_par::Jobs;
 use std::hint::black_box;
 
 const KEY: u64 = 0x1334_5779_9BBC_DFF1;
@@ -35,7 +36,7 @@ fn bench_spa(c: &mut Criterion) {
 }
 
 fn bench_dpa_analysis(c: &mut Criterion) {
-    let (plaintexts, traces) = collect_traces(oracle, 256, 7);
+    let (plaintexts, traces) = collect_traces_par(&oracle, 256, 7, Jobs::serial());
     let mut g = c.benchmark_group("dpa");
     g.throughput(Throughput::Elements(64 * 256));
     g.bench_function("analyze_bit_256x256", |b| {

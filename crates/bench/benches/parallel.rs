@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use emask_attack::dpa::{
-    analyze_bit, collect_traces, collect_traces_par, recover_subkey_par, selection_bit, DpaConfig,
+    analyze_bit, collect_traces_par, recover_subkey_par, selection_bit, DpaConfig,
 };
 use emask_attack::online::OnlineDpa;
 use emask_core::desgen::DesProgramSpec;
@@ -54,7 +54,7 @@ fn bench_acquisition(c: &mut Criterion) {
 /// Batch two-pass matrix DPA vs the single-pass online accumulator over
 /// an identical 256-trace synthetic set.
 fn bench_dpa_engines(c: &mut Criterion) {
-    let (plaintexts, traces) = collect_traces(synthetic_oracle, 256, 7);
+    let (plaintexts, traces) = collect_traces_par(&synthetic_oracle, 256, 7, Jobs::serial());
     let mut g = c.benchmark_group("dpa_engine");
     g.throughput(Throughput::Elements(64 * 256));
     g.bench_function("batch_analyze_256x256", |b| {

@@ -12,17 +12,16 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 
-use emask_bench::campaign::{run_campaign_events, run_campaign_par, CampaignConfig, FaultOutcome};
-use emask_bench::checkpoint::{run_campaign_resumable, run_campaign_resumable_events};
+use emask_bench::campaign::{run_campaign, CampaignConfig, FaultOutcome};
 use emask_bench::experiments::{self, KEY, PLAINTEXT};
 use emask_bench::{live, BenchRunner, CampaignReport};
 use emask_core::{
     ChromeTrace, DesProgramSpec, EncryptionRun, EnergyTrace, MaskPolicy, MaskedDes,
     MetricsRegistry, RecoveryPolicy,
 };
-use emask_par::Jobs;
+use emask_par::{CancelToken, Jobs};
 use emask_serve::{client, ServerConfig};
-use emask_telemetry::{host_context, metrics_csv, summary_with_host, Event, EventBus};
+use emask_telemetry::{host_context, metrics_csv, summary_with_host, Event, EventBus, NullSink};
 use std::env;
 use std::fs;
 use std::io::{BufWriter, IsTerminal, Write};
@@ -927,17 +926,16 @@ fn dpa(opts: &Opts, bus: Option<&EventBus>) {
         opts.jobs.get()
     );
     let rounds = opts.rounds.min(4); // round 1 is all DPA needs
-    let run = |policy| match bus {
-        Some(b) => live::dpa_attack_convergence(
-            policy,
-            rounds,
-            opts.samples,
-            0,
-            opts.jobs,
-            opts.cadence,
-            b,
-        ),
-        None => experiments::dpa_attack_par(policy, rounds, opts.samples, 0, opts.jobs),
+    let (samples, jobs, cadence, token) =
+        (opts.samples, opts.jobs, opts.cadence, CancelToken::new());
+    let run = |policy| {
+        match bus {
+            Some(b) => {
+                experiments::dpa_attack(policy, rounds, samples, 0, jobs, cadence, &token, b)
+            }
+            None => experiments::dpa_attack(policy, rounds, samples, 0, jobs, 0, &token, &NullSink),
+        }
+        .expect("an untripped token never interrupts")
     };
     let unmasked = run(MaskPolicy::None);
     println!("before masking: {unmasked}");
@@ -956,21 +954,26 @@ fn cpa(opts: &Opts) {
         opts.samples
     );
     let rounds = opts.rounds.min(4);
-    let unmasked =
-        experiments::cpa_attack_par(MaskPolicy::None, rounds, opts.samples, 0, opts.jobs);
-    println!("before masking: {unmasked}");
-    let masked =
-        experiments::cpa_attack_par(MaskPolicy::Selective, rounds, opts.samples, 0, opts.jobs);
-    println!("after masking:  {masked}");
+    let token = CancelToken::new();
+    let run = |policy| {
+        experiments::cpa_attack(policy, rounds, opts.samples, 0, opts.jobs, &token)
+            .expect("an untripped token never interrupts")
+    };
+    println!("before masking: {}", run(MaskPolicy::None));
+    println!("after masking:  {}", run(MaskPolicy::Selective));
 }
 
 fn tvla(opts: &Opts, bus: Option<&EventBus>) {
     println!("== TVLA: fixed-vs-random-key Welch t (extension; threshold 4.5) ==");
     let rounds = opts.rounds.min(2);
     let groups = (opts.samples / 4).max(8);
-    let run = |policy| match bus {
-        Some(b) => live::tvla_convergence(policy, rounds, groups, 11, opts.jobs, opts.cadence, b),
-        None => experiments::tvla_par(policy, rounds, groups, 11, opts.jobs),
+    let (jobs, cadence, token) = (opts.jobs, opts.cadence, CancelToken::new());
+    let run = |policy| {
+        match bus {
+            Some(b) => experiments::tvla(policy, rounds, groups, 11, jobs, cadence, &token, b),
+            None => experiments::tvla(policy, rounds, groups, 11, jobs, 0, &token, &NullSink),
+        }
+        .expect("an untripped token never interrupts")
     };
     let unmasked = run(MaskPolicy::None);
     println!("before masking: {unmasked}");
@@ -1065,13 +1068,11 @@ fn fault(opts: &Opts, bus: Option<&EventBus>) -> Result<(), Box<dyn std::error::
         recovery: opts.recover.then(RecoveryPolicy::default),
         ..CampaignConfig::default()
     };
-    let report: CampaignReport = match (&opts.checkpoint, bus) {
-        (Some(path), Some(b)) => {
-            run_campaign_resumable_events(&des, &cfg, opts.jobs, Path::new(path), b)?
-        }
-        (Some(path), None) => run_campaign_resumable(&des, &cfg, opts.jobs, Path::new(path))?,
-        (None, Some(b)) => run_campaign_events(&des, &cfg, opts.jobs, b)?,
-        (None, None) => run_campaign_par(&des, &cfg, opts.jobs)?,
+    let checkpoint = opts.checkpoint.as_deref().map(Path::new);
+    let token = CancelToken::new();
+    let report: CampaignReport = match bus {
+        Some(b) => run_campaign(&des, &cfg, opts.jobs, checkpoint, &token, b)?,
+        None => run_campaign(&des, &cfg, opts.jobs, checkpoint, &token, &NullSink)?,
     };
     println!("clean run: {} cycles; cycle budget per trial: 2x", report.clean_cycles);
     print!("{}", report.summary());

@@ -37,17 +37,20 @@
 //! pipeline lane × rail mode, registers, data memory, fetch squash, and
 //! op-class-triggered strikes on the secure load path.
 
+use crate::checkpoint::{config_fingerprint, CampaignCheckpoint, CampaignError, ShardRecord};
 use emask_core::{EncryptionRun, MaskedDes, RecoveryPolicy, RecoveryStats, RunError};
 use emask_cpu::{CpuErrorKind, FaultLane, RailMode};
 use emask_fault::{
     DualRailChecker, FaultInjector, FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger,
 };
 use emask_isa::OpClass;
-use emask_par::{catch_trial, par_map, Jobs};
+use emask_par::{catch_trial, run_sharded_cancellable, CancelToken, Jobs};
 use emask_telemetry::{
     campaign_csv, campaign_summary, recovery_coverage, recovery_summary, CampaignTrial, Event,
-    EventSink, NullSink, RecoveryTotals,
+    EventSink, RecoveryTotals,
 };
+use std::path::Path;
+use std::sync::Mutex;
 
 /// Number of [`FaultOutcome`] categories.
 pub const OUTCOME_COUNT: usize = 8;
@@ -298,10 +301,10 @@ pub(crate) fn outcome_from_name(name: &str) -> Option<FaultOutcome> {
     FaultOutcome::ALL.into_iter().find(|o| o.name() == name)
 }
 
-/// The prepared per-trial execution context shared by the in-memory and
-/// checkpointed campaign runners: the cycle-limited core plus the
-/// lattice parameters derived from the clean baseline run.
-pub(crate) struct TrialRunner {
+/// The prepared per-trial execution context of a campaign: the
+/// cycle-limited core plus the lattice parameters derived from the clean
+/// baseline run.
+struct TrialRunner {
     des: MaskedDes,
     cfg: CampaignConfig,
     bits: Vec<u8>,
@@ -311,7 +314,7 @@ pub(crate) struct TrialRunner {
 
 impl TrialRunner {
     /// Runs the clean baseline and derives the trial lattice parameters.
-    pub(crate) fn prepare(des: &MaskedDes, cfg: &CampaignConfig) -> Result<Self, RunError> {
+    fn prepare(des: &MaskedDes, cfg: &CampaignConfig) -> Result<Self, RunError> {
         let clean = des.encrypt(cfg.plaintext, cfg.key)?;
         let clean_cycles = clean.stats.cycles;
         // A faulted run that loops forever must terminate promptly:
@@ -325,12 +328,12 @@ impl TrialRunner {
     }
 
     /// Cycle count of the clean baseline run.
-    pub(crate) fn clean_cycles(&self) -> u64 {
+    fn clean_cycles(&self) -> u64 {
         self.clean_cycles
     }
 
     /// Whether trials run under a recovery policy.
-    pub(crate) fn recovery_enabled(&self) -> bool {
+    fn recovery_enabled(&self) -> bool {
         self.cfg.recovery.is_some()
     }
 
@@ -338,7 +341,7 @@ impl TrialRunner {
     /// Never panics outward: the trial body runs under a per-trial panic
     /// catch, so a panicking trial becomes data, its shard keeps going,
     /// and the campaign completes.
-    pub(crate) fn run_trial(&self, i: usize) -> (CampaignTrial, FaultOutcome, RecoveryStats) {
+    fn run_trial(&self, i: usize) -> (CampaignTrial, RecoveryStats) {
         let cfg = &self.cfg;
         // Spread strike cycles across the whole clean run. The spec and
         // its report names are computed *outside* the panic catch so a
@@ -388,67 +391,73 @@ impl TrialRunner {
             outcome: outcome.name().to_string(),
             detail,
         };
-        (trial, outcome, stats)
+        (trial, stats)
     }
 }
 
-/// Runs a fault campaign against `des`, single-threaded. Equivalent to
-/// [`run_campaign_par`] with [`Jobs::serial`] — and byte-identical to it
-/// at any worker count, since the trial lattice is a pure function of the
-/// trial index.
-///
-/// The clean baseline run must succeed (its failure is the returned
-/// error); after that **no trial can panic or abort the campaign** —
-/// every possible result of a faulted run maps onto a [`FaultOutcome`].
-///
-/// # Errors
-///
-/// Returns the clean baseline run's [`RunError`], if any.
-pub fn run_campaign(des: &MaskedDes, cfg: &CampaignConfig) -> Result<CampaignReport, RunError> {
-    run_campaign_par(des, cfg, Jobs::serial())
-}
-
-/// [`run_campaign`] sharded across `jobs` worker threads.
+/// Runs a fault campaign against `des`, sharded across `jobs` worker
+/// threads.
 ///
 /// Every trial is independent — a fresh simulated machine with one
 /// planned fault — and the lattice needs no RNG, so workers run disjoint
 /// contiguous index shards against a shared `&MaskedDes` and the rows are
 /// reassembled in trial order: the report is byte-identical for any
-/// `jobs` value, only the wall-clock changes.
+/// `jobs` value, only the wall-clock changes. The clean baseline run must
+/// succeed; after that **no trial can panic or abort the campaign** —
+/// every possible result of a faulted run maps onto a [`FaultOutcome`].
 ///
-/// # Errors
+/// With a `checkpoint` path the campaign survives being killed: the
+/// [`CampaignCheckpoint`] there is rewritten after every completed shard,
+/// and a rerun with the same configuration serves the completed shards
+/// from it and computes only the rest, producing a byte-identical report.
 ///
-/// Returns the clean baseline run's [`RunError`], if any.
-pub fn run_campaign_par(
-    des: &MaskedDes,
-    cfg: &CampaignConfig,
-    jobs: Jobs,
-) -> Result<CampaignReport, RunError> {
-    run_campaign_events(des, cfg, jobs, &NullSink)
-}
-
-/// [`run_campaign_par`] with a live event stream.
+/// `token` is checked at every trial boundary; a trip stops the campaign
+/// with [`CampaignError::Interrupted`], the interrupted shard's partial
+/// rows discarded and the completed shards persisted.
 ///
 /// Workers emit operational [`Event::TrialCompleted`] (and
 /// [`Event::RecoveryAttempted`] when a trial rolled back) as trials
-/// finish — unordered, droppable, progress-line fodder. The *replayable*
-/// stream is emitted from the merge step only: a
-/// [`Event::CampaignStarted`] header, one [`Event::FaultOutcome`] per
-/// trial **in trial order**, and a [`Event::CampaignCompleted`] trailer —
-/// so the replayable stream is byte-identical for any `jobs` count.
-/// With [`NullSink`] every emission site compiles away and this is
-/// exactly [`run_campaign_par`].
+/// finish, plus [`Event::ShardCompleted`] and [`Event::CheckpointWritten`]
+/// per persisted shard. The *replayable* stream is emitted from the
+/// ordered merge only — a [`Event::CampaignStarted`] header, one
+/// [`Event::FaultOutcome`] per trial **in trial order**, and a
+/// [`Event::CampaignCompleted`] trailer — so it is byte-identical for any
+/// `jobs` count and across a kill and resume (shards served from the
+/// checkpoint emit no operational trial events, which is exactly the
+/// "work not redone" signal). With [`NullSink`](emask_telemetry::NullSink)
+/// every emission site compiles away.
 ///
 /// # Errors
 ///
-/// Returns the clean baseline run's [`RunError`], if any.
-pub fn run_campaign_events<S: EventSink>(
+/// * [`CampaignError::Run`] — the clean baseline run failed;
+/// * [`CampaignError::Io`] — the checkpoint could not be read or written;
+/// * [`CampaignError::Mismatch`] — `checkpoint` holds a snapshot written
+///   under a different configuration;
+/// * [`CampaignError::Interrupted`] — the token tripped before the last
+///   shard completed.
+pub fn run_campaign<S: EventSink>(
     des: &MaskedDes,
     cfg: &CampaignConfig,
     jobs: Jobs,
+    checkpoint: Option<&Path>,
+    token: &CancelToken,
     sink: &S,
-) -> Result<CampaignReport, RunError> {
+) -> Result<CampaignReport, CampaignError> {
     let runner = TrialRunner::prepare(des, cfg)?;
+    let fingerprint = config_fingerprint(cfg, runner.clean_cycles());
+    let mut stored = CampaignCheckpoint::new(fingerprint);
+    if let Some(path) = checkpoint {
+        if let Some(cp) = CampaignCheckpoint::load(path)? {
+            if cp.fingerprint != fingerprint {
+                return Err(CampaignError::Mismatch {
+                    path: path.to_path_buf(),
+                    expected: fingerprint,
+                    found: cp.fingerprint,
+                });
+            }
+            stored = cp;
+        }
+    }
     if S::ACTIVE {
         sink.emit(Event::CampaignStarted {
             experiment: "fault".into(),
@@ -457,31 +466,72 @@ pub fn run_campaign_events<S: EventSink>(
             cadence: 0,
         });
     }
-    let rows = par_map(jobs, cfg.trials, |i| {
-        let row = runner.run_trial(i);
-        if S::ACTIVE {
-            if row.2.rollbacks > 0 {
-                sink.emit(Event::RecoveryAttempted { trial: i as u64 });
-            }
-            sink.emit(Event::TrialCompleted { trial: i as u64 });
+    let store = Mutex::new(stored);
+    let sharded = run_sharded_cancellable(jobs, cfg.trials, token, |shard, range| {
+        if let Some(rec) = store.lock().expect("checkpoint store").shards.get(&shard) {
+            return Ok(rec.clone());
         }
-        row
+        let len = range.len();
+        let mut trials = Vec::with_capacity(len);
+        let mut recovery = RecoveryTotals::default();
+        for (done, i) in range.enumerate() {
+            // Trial-boundary cancellation: a tripped token discards this
+            // shard's partial rows (recomputed deterministically on
+            // resume) and reports how many trials it had run.
+            if token.check().is_err() {
+                return Err(done);
+            }
+            let (trial, stats) = runner.run_trial(i);
+            if runner.recovery_enabled() {
+                recovery.absorb(stats.checkpoints, u64::from(stats.rollbacks), stats.pages_moved);
+            }
+            if S::ACTIVE {
+                if stats.rollbacks > 0 {
+                    sink.emit(Event::RecoveryAttempted { trial: i as u64 });
+                }
+                sink.emit(Event::TrialCompleted { trial: i as u64 });
+            }
+            trials.push(trial);
+        }
+        let rec = ShardRecord { trials, recovery };
+        if let Some(path) = checkpoint {
+            let mut guard = store.lock().expect("checkpoint store");
+            guard.shards.insert(shard, rec.clone());
+            // Mid-run persistence is best effort — an unwritable path
+            // still fails the run, loudly, at the final save below.
+            let _ = guard.save(path);
+            if S::ACTIVE {
+                sink.emit(Event::CheckpointWritten { shards_done: guard.shards.len() as u64 });
+                sink.emit(Event::ShardCompleted { shard: shard as u64, len: len as u64 });
+            }
+        }
+        Ok(rec)
     });
+    if let Some(path) = checkpoint {
+        // Persist what completed — all of it, or the shards before an
+        // interruption, which a resume then skips.
+        store.into_inner().expect("checkpoint store").save(path)?;
+    }
+    let records = sharded?;
+
+    // Shards are contiguous ascending index ranges, so concatenating the
+    // shard-ordered records yields the rows in trial order.
     let mut trials = Vec::with_capacity(cfg.trials);
     let mut counts = [0usize; OUTCOME_COUNT];
     let mut recovery = RecoveryTotals::default();
-    for (trial, outcome, stats) in rows {
-        counts[outcome.index()] += 1;
-        if runner.recovery_enabled() {
-            recovery.absorb(stats.checkpoints, u64::from(stats.rollbacks), stats.pages_moved);
+    for rec in records {
+        for t in &rec.trials {
+            let outcome = outcome_from_name(&t.outcome).expect("validated outcome name");
+            counts[outcome.index()] += 1;
+            if S::ACTIVE {
+                sink.emit(Event::FaultOutcome {
+                    trial: t.index as u64,
+                    outcome: t.outcome.clone(),
+                });
+            }
         }
-        if S::ACTIVE {
-            sink.emit(Event::FaultOutcome {
-                trial: trial.index as u64,
-                outcome: trial.outcome.clone(),
-            });
-        }
-        trials.push(trial);
+        recovery.merge(&rec.recovery);
+        trials.extend(rec.trials);
     }
     if S::ACTIVE {
         sink.emit(Event::CampaignCompleted {
@@ -499,17 +549,27 @@ mod tests {
     use super::*;
     use emask_cc::MaskPolicy;
     use emask_core::desgen::DesProgramSpec;
+    use emask_telemetry::NullSink;
 
     fn small_des() -> MaskedDes {
         MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
             .expect("compile")
     }
 
+    /// An uncancelled, unobserved, in-memory campaign.
+    fn campaign(
+        des: &MaskedDes,
+        cfg: &CampaignConfig,
+        jobs: Jobs,
+    ) -> Result<CampaignReport, CampaignError> {
+        run_campaign(des, cfg, jobs, None, &CancelToken::new(), &NullSink)
+    }
+
     #[test]
     fn small_campaign_classifies_every_trial() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 80, ..CampaignConfig::default() };
-        let report = run_campaign(&des, &cfg).expect("campaign");
+        let report = campaign(&des, &cfg, Jobs::serial()).expect("campaign");
         assert_eq!(report.total(), 80);
         assert_eq!(report.counts.iter().sum::<usize>(), 80, "every trial classified");
         // The lattice's single-rail strikes on the secure load path must
@@ -534,8 +594,8 @@ mod tests {
     fn campaign_is_deterministic() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 12, ..CampaignConfig::default() };
-        let a = run_campaign(&des, &cfg).expect("campaign");
-        let b = run_campaign(&des, &cfg).expect("campaign");
+        let a = campaign(&des, &cfg, Jobs::serial()).expect("campaign");
+        let b = campaign(&des, &cfg, Jobs::serial()).expect("campaign");
         assert_eq!(a.trials, b.trials);
         assert_eq!(a.counts, b.counts);
     }
@@ -565,13 +625,13 @@ mod tests {
     fn recovery_turns_detections_into_recovered_trials() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 80, ..CampaignConfig::default() };
-        let baseline = run_campaign(&des, &cfg).expect("baseline campaign");
+        let baseline = campaign(&des, &cfg, Jobs::serial()).expect("baseline campaign");
         assert!(baseline.count(FaultOutcome::Detected) > 0);
         assert_eq!(baseline.recovery, RecoveryTotals::default());
 
         let recovered_cfg =
             CampaignConfig { recovery: Some(RecoveryPolicy::default()), ..cfg.clone() };
-        let report = run_campaign(&des, &recovered_cfg).expect("recovery campaign");
+        let report = campaign(&des, &recovered_cfg, Jobs::serial()).expect("recovery campaign");
         assert_eq!(report.total(), 80);
         // With rollback enabled, no detection is left fail-stop: every
         // detected fault either recovers or zeroizes.
@@ -588,7 +648,7 @@ mod tests {
     fn panicking_trial_is_classified_not_fatal() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 16, panic_trial: Some(5), ..CampaignConfig::default() };
-        let report = run_campaign_par(&des, &cfg, Jobs::new(4).expect("jobs")).expect("campaign");
+        let report = campaign(&des, &cfg, Jobs::new(4).expect("jobs")).expect("campaign");
         assert_eq!(report.total(), 16);
         assert_eq!(report.count(FaultOutcome::Panic), 1);
         assert_eq!(report.trials[5].outcome, "panic");
@@ -599,7 +659,7 @@ mod tests {
         );
         // Sibling trials are untouched by the panic.
         let baseline_cfg = CampaignConfig { panic_trial: None, ..cfg };
-        let baseline = run_campaign(&des, &baseline_cfg).expect("baseline");
+        let baseline = campaign(&des, &baseline_cfg, Jobs::serial()).expect("baseline");
         for i in (0..16).filter(|&i| i != 5) {
             assert_eq!(report.trials[i], baseline.trials[i], "trial {i}");
         }
@@ -609,11 +669,11 @@ mod tests {
     fn tiny_cycle_budget_classifies_as_hang_without_disturbing_siblings() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 8, cycle_limit: Some(40), ..CampaignConfig::default() };
-        let a = run_campaign(&des, &cfg).expect("campaign");
+        let a = campaign(&des, &cfg, Jobs::serial()).expect("campaign");
         assert_eq!(a.count(FaultOutcome::Hang), 8, "summary:\n{}", a.summary());
         // Jobs-invariant: the hang classification is identical at any
         // worker count.
-        let b = run_campaign_par(&des, &cfg, Jobs::new(4).expect("jobs")).expect("campaign");
+        let b = campaign(&des, &cfg, Jobs::new(4).expect("jobs")).expect("campaign");
         assert_eq!(a.trials, b.trials);
     }
 }

@@ -2,9 +2,9 @@
 //! work, crash recovery, and byte-identical resumption.
 //!
 //! A long campaign (thousands of trials × a cycle-accurate core) should
-//! survive being killed. [`run_campaign_resumable`] is
-//! [`run_campaign_par`](crate::run_campaign_par) plus a persistence loop:
-//! every time a worker finishes one of the fixed trial shards, the
+//! survive being killed. Given a checkpoint path,
+//! [`run_campaign`](crate::run_campaign) adds a persistence loop: every
+//! time a worker finishes one of the fixed trial shards, the
 //! campaign checkpoint — the completed shards' classified rows plus their
 //! recovery counters — is atomically rewritten (`<path>.tmp` + rename).
 //! A later invocation with the same configuration loads the snapshot,
@@ -32,17 +32,14 @@
 //!   is a hard, typed error ([`CampaignError::Mismatch`]) — silently
 //!   mixing two campaigns' rows would corrupt the report.
 
-use crate::campaign::{
-    outcome_from_name, CampaignConfig, CampaignReport, TrialRunner, OUTCOME_COUNT,
-};
-use emask_core::{MaskedDes, RunError};
-use emask_par::{run_sharded_cancellable, CancelToken, Interrupted, Jobs};
-use emask_telemetry::{CampaignTrial, Event, EventSink, NullSink, RecoveryTotals};
+use crate::campaign::{outcome_from_name, CampaignConfig};
+use emask_core::RunError;
+use emask_par::Interrupted;
+use emask_telemetry::{CampaignTrial, RecoveryTotals};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Error type of the checkpointed campaign runner.
 #[derive(Debug)]
@@ -66,7 +63,7 @@ pub enum CampaignError {
         /// Fingerprint stored in the file.
         found: u64,
     },
-    /// A cooperative [`CancelToken`] tripped mid-campaign (client cancel,
+    /// A cooperative [`CancelToken`](emask_par::CancelToken) tripped mid-campaign (client cancel,
     /// deadline, shutdown). Completed shards are persisted in the
     /// checkpoint; rerunning with the same configuration resumes from
     /// them and still yields a byte-identical report.
@@ -130,7 +127,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// lattice or its classification participates, so a stale checkpoint can
 /// never be resumed under different settings. `clean_cycles` folds in the
 /// compiled program itself (policy, rounds) without hashing the binary.
-fn config_fingerprint(cfg: &CampaignConfig, clean_cycles: u64) -> u64 {
+pub(crate) fn config_fingerprint(cfg: &CampaignConfig, clean_cycles: u64) -> u64 {
     let canon = format!(
         "v1|trials={}|bits={:?}|pt={:016x}|key={:016x}|recovery={:?}|limit={:?}|panic={:?}|clean={clean_cycles}",
         cfg.trials, cfg.bits, cfg.plaintext, cfg.key, cfg.recovery, cfg.cycle_limit, cfg.panic_trial
@@ -151,13 +148,13 @@ pub(crate) struct ShardRecord {
 /// The on-disk campaign snapshot: which shards are done and their rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignCheckpoint {
-    fingerprint: u64,
-    shards: BTreeMap<usize, ShardRecord>,
+    pub(crate) fingerprint: u64,
+    pub(crate) shards: BTreeMap<usize, ShardRecord>,
 }
 
 impl CampaignCheckpoint {
     /// An empty checkpoint for the given config fingerprint.
-    fn new(fingerprint: u64) -> Self {
+    pub(crate) fn new(fingerprint: u64) -> Self {
         Self { fingerprint, shards: BTreeMap::new() }
     }
 
@@ -294,201 +291,30 @@ fn parse_row(line: &str) -> Option<CampaignTrial> {
     Some(trial)
 }
 
-/// [`run_campaign_par`](crate::run_campaign_par) with crash recovery:
-/// the campaign persists a [`CampaignCheckpoint`] at `path` after every
-/// completed shard, and a rerun with the same configuration resumes from
-/// it — completed shards are served from the snapshot, the rest are
-/// computed — producing a report whose CSV and summary are byte-identical
-/// to an uninterrupted run at any `jobs` count.
-///
-/// # Errors
-///
-/// * [`CampaignError::Run`] — the clean baseline run failed;
-/// * [`CampaignError::Io`] — the checkpoint could not be read or written;
-/// * [`CampaignError::Mismatch`] — `path` holds a checkpoint written
-///   under a different configuration.
-pub fn run_campaign_resumable(
-    des: &MaskedDes,
-    cfg: &CampaignConfig,
-    jobs: Jobs,
-    path: &Path,
-) -> Result<CampaignReport, CampaignError> {
-    run_campaign_resumable_events(des, cfg, jobs, path, &NullSink)
-}
-
-/// [`run_campaign_resumable`] with a live event stream — the resumable
-/// analogue of [`run_campaign_events`](crate::campaign::run_campaign_events).
-///
-/// Workers emit operational [`Event::TrialCompleted`] /
-/// [`Event::RecoveryAttempted`] per trial, [`Event::ShardCompleted`] per
-/// finished shard, and [`Event::CheckpointWritten`] after each snapshot
-/// persist. The replayable stream (header, per-trial
-/// [`Event::FaultOutcome`] in trial order, trailer) is emitted from the
-/// deterministic merge — and since resumed shards reload the *same* rows
-/// an uninterrupted run computes, a SIGKILL + resume produces a
-/// byte-identical replayable stream (shards served from the snapshot
-/// emit no operational trial events, which is exactly the "work not
-/// redone" signal).
-///
-/// # Errors
-///
-/// As for [`run_campaign_resumable`].
-pub fn run_campaign_resumable_events<S: EventSink>(
-    des: &MaskedDes,
-    cfg: &CampaignConfig,
-    jobs: Jobs,
-    path: &Path,
-    sink: &S,
-) -> Result<CampaignReport, CampaignError> {
-    match run_campaign_resumable_cancellable_events(des, cfg, jobs, path, &CancelToken::new(), sink)
-    {
-        Err(CampaignError::Interrupted(_)) => {
-            unreachable!("a private never-cancelled token cannot interrupt")
-        }
-        other => other,
-    }
-}
-
-/// [`run_campaign_resumable_events`] under a cooperative [`CancelToken`]:
-/// the token is checked at every trial boundary, so a trip (client
-/// cancel, deadline, shutdown) stops the campaign cleanly with
-/// [`CampaignError::Interrupted`]. Shards completed before the trip are
-/// already persisted in the checkpoint at `path` — the partial shard that
-/// was interrupted is discarded (its rows are recomputed on resume) —
-/// and rerunning with the same configuration resumes from the snapshot
-/// and produces a CSV and summary **byte-identical** to an uninterrupted
-/// run. This is the supervision entry point `emask-serve` drives.
-///
-/// # Errors
-///
-/// As for [`run_campaign_resumable_events`], plus
-/// [`CampaignError::Interrupted`] when the token trips before the last
-/// shard completes.
-pub fn run_campaign_resumable_cancellable_events<S: EventSink>(
-    des: &MaskedDes,
-    cfg: &CampaignConfig,
-    jobs: Jobs,
-    path: &Path,
-    token: &CancelToken,
-    sink: &S,
-) -> Result<CampaignReport, CampaignError> {
-    let runner = TrialRunner::prepare(des, cfg)?;
-    let fingerprint = config_fingerprint(cfg, runner.clean_cycles());
-    let checkpoint = match CampaignCheckpoint::load(path)? {
-        Some(cp) if cp.fingerprint != fingerprint => {
-            return Err(CampaignError::Mismatch {
-                path: path.to_path_buf(),
-                expected: fingerprint,
-                found: cp.fingerprint,
-            });
-        }
-        Some(cp) => cp,
-        None => CampaignCheckpoint::new(fingerprint),
-    };
-    if S::ACTIVE {
-        sink.emit(Event::CampaignStarted {
-            experiment: "fault".into(),
-            trials: cfg.trials as u64,
-            seed: 0,
-            cadence: 0,
-        });
-    }
-    let store = Mutex::new(checkpoint);
-    let sharded = run_sharded_cancellable(jobs, cfg.trials, token, |shard, range| {
-        if let Some(rec) = store.lock().expect("checkpoint store").shards.get(&shard) {
-            return Ok(rec.clone());
-        }
-        let len = range.len();
-        let mut trials = Vec::with_capacity(len);
-        let mut recovery = RecoveryTotals::default();
-        for (done, i) in range.enumerate() {
-            // Trial-boundary cancellation: a tripped token discards this
-            // shard's partial rows (recomputed deterministically on
-            // resume) and reports how many trials it had folded.
-            if token.check().is_err() {
-                return Err(done);
-            }
-            let (trial, _, stats) = runner.run_trial(i);
-            if runner.recovery_enabled() {
-                recovery.absorb(stats.checkpoints, u64::from(stats.rollbacks), stats.pages_moved);
-            }
-            if S::ACTIVE {
-                if stats.rollbacks > 0 {
-                    sink.emit(Event::RecoveryAttempted { trial: i as u64 });
-                }
-                sink.emit(Event::TrialCompleted { trial: i as u64 });
-            }
-            trials.push(trial);
-        }
-        let rec = ShardRecord { trials, recovery };
-        let mut guard = store.lock().expect("checkpoint store");
-        guard.shards.insert(shard, rec.clone());
-        // Mid-run persistence is best effort — an unwritable path still
-        // fails the run, loudly, at the final save below.
-        let _ = guard.save(path);
-        if S::ACTIVE {
-            sink.emit(Event::CheckpointWritten { shards_done: guard.shards.len() as u64 });
-            sink.emit(Event::ShardCompleted { shard: shard as u64, len: len as u64 });
-        }
-        Ok(rec)
-    });
-    let checkpoint = store.into_inner().expect("checkpoint store");
-    let records = match sharded {
-        Ok(records) => records,
-        Err(interrupted) => {
-            // Persist what completed so a resume skips it, then surface
-            // the trip as a typed error for the supervisor.
-            checkpoint.save(path)?;
-            return Err(CampaignError::Interrupted(interrupted));
-        }
-    };
-    checkpoint.save(path)?;
-
-    // Shards are contiguous ascending index ranges, so concatenating the
-    // shard-ordered records yields the rows in trial order.
-    let mut trials = Vec::with_capacity(cfg.trials);
-    let mut counts = [0usize; OUTCOME_COUNT];
-    let mut recovery = RecoveryTotals::default();
-    for rec in records {
-        for t in &rec.trials {
-            let outcome = outcome_from_name(&t.outcome).expect("validated outcome name");
-            counts[outcome_index(outcome)] += 1;
-            if S::ACTIVE {
-                sink.emit(Event::FaultOutcome {
-                    trial: t.index as u64,
-                    outcome: t.outcome.clone(),
-                });
-            }
-        }
-        recovery.merge(&rec.recovery);
-        trials.extend(rec.trials);
-    }
-    if S::ACTIVE {
-        sink.emit(Event::CampaignCompleted {
-            trials: cfg.trials as u64,
-            dropped_events: sink.dropped(),
-            dropped_by_kind: sink.dropped_by_kind(),
-        });
-    }
-    Ok(CampaignReport { trials, counts, clean_cycles: runner.clean_cycles(), recovery })
-}
-
-/// [`FaultOutcome::ALL`](crate::FaultOutcome::ALL) position of `o`.
-fn outcome_index(o: crate::FaultOutcome) -> usize {
-    crate::FaultOutcome::ALL.iter().position(|&x| x == o).unwrap_or(0)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_campaign, CampaignReport};
     use emask_cc::MaskPolicy;
     use emask_core::desgen::DesProgramSpec;
-    use emask_core::RecoveryPolicy;
+    use emask_core::{MaskedDes, RecoveryPolicy};
+    use emask_par::{CancelToken, Jobs};
+    use emask_telemetry::{Event, EventSink, NullSink};
 
     fn small_des() -> MaskedDes {
         MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
             .expect("compile")
+    }
+
+    /// An uncancelled, unobserved campaign checkpointed at `path`.
+    fn resumable(
+        des: &MaskedDes,
+        cfg: &CampaignConfig,
+        jobs: Jobs,
+        path: &Path,
+    ) -> Result<CampaignReport, CampaignError> {
+        run_campaign(des, cfg, jobs, Some(path), &CancelToken::new(), &NullSink)
     }
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -507,7 +333,7 @@ mod tests {
         };
         let path = tmp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
-        let report = run_campaign_resumable(&des, &cfg, Jobs::serial(), &path).expect("campaign");
+        let report = resumable(&des, &cfg, Jobs::serial(), &path).expect("campaign");
         let cp = CampaignCheckpoint::load(&path).expect("load").expect("present");
         assert!(!cp.completed().is_empty());
         let text = std::fs::read_to_string(&path).expect("read");
@@ -530,7 +356,7 @@ mod tests {
         };
         let path = tmp_path("resume");
         let _ = std::fs::remove_file(&path);
-        let full = run_campaign_resumable(&des, &cfg, Jobs::serial(), &path).expect("full run");
+        let full = resumable(&des, &cfg, Jobs::serial(), &path).expect("full run");
 
         // Simulate a kill partway through: drop every other completed
         // shard from the snapshot, then resume.
@@ -539,8 +365,7 @@ mod tests {
             cp.forget(s);
         }
         cp.save(&path).expect("save partial");
-        let resumed =
-            run_campaign_resumable(&des, &cfg, Jobs::new(4).expect("jobs"), &path).expect("resume");
+        let resumed = resumable(&des, &cfg, Jobs::new(4).expect("jobs"), &path).expect("resume");
 
         assert_eq!(resumed.csv(), full.csv());
         assert_eq!(resumed.summary(), full.summary());
@@ -580,7 +405,7 @@ mod tests {
         // Reference: one uninterrupted run.
         let ref_path = tmp_path("interrupt-ref");
         let _ = std::fs::remove_file(&ref_path);
-        let full = run_campaign_resumable(&des, &cfg, Jobs::serial(), &ref_path).expect("full run");
+        let full = resumable(&des, &cfg, Jobs::serial(), &ref_path).expect("full run");
         let _ = std::fs::remove_file(&ref_path);
 
         // Interrupted run: cancel after 10 trials, serial so the trip
@@ -589,15 +414,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let token = CancelToken::new();
         let sink = CancelAfter { token: &token, seen: AtomicU64::new(0), after: 10 };
-        let err = run_campaign_resumable_cancellable_events(
-            &des,
-            &cfg,
-            Jobs::serial(),
-            &path,
-            &token,
-            &sink,
-        )
-        .expect_err("tripped token must interrupt");
+        let err = run_campaign(&des, &cfg, Jobs::serial(), Some(&path), &token, &sink)
+            .expect_err("tripped token must interrupt");
         let CampaignError::Interrupted(i) = &err else {
             panic!("expected Interrupted, got {err}");
         };
@@ -610,8 +428,7 @@ mod tests {
         assert!(persisted <= i.completed_trials, "partial shards are never persisted");
 
         // …and a plain resume finishes the rest, byte-identically.
-        let resumed =
-            run_campaign_resumable(&des, &cfg, Jobs::new(4).expect("jobs"), &path).expect("resume");
+        let resumed = resumable(&des, &cfg, Jobs::new(4).expect("jobs"), &path).expect("resume");
         assert_eq!(resumed.csv(), full.csv());
         assert_eq!(resumed.summary(), full.summary());
         assert_eq!(resumed.recovery, full.recovery);
@@ -625,15 +442,8 @@ mod tests {
         let path = tmp_path("deadline");
         let _ = std::fs::remove_file(&path);
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let err = run_campaign_resumable_cancellable_events(
-            &des,
-            &cfg,
-            Jobs::serial(),
-            &path,
-            &token,
-            &NullSink,
-        )
-        .expect_err("expired deadline must interrupt");
+        let err = run_campaign(&des, &cfg, Jobs::serial(), Some(&path), &token, &NullSink)
+            .expect_err("expired deadline must interrupt");
         match err {
             CampaignError::Interrupted(i) => {
                 assert_eq!(i.reason, emask_par::CancelReason::DeadlineExceeded);
@@ -665,9 +475,9 @@ mod tests {
         let cfg = CampaignConfig { trials: 16, ..CampaignConfig::default() };
         let path = tmp_path("mismatch");
         let _ = std::fs::remove_file(&path);
-        run_campaign_resumable(&des, &cfg, Jobs::serial(), &path).expect("first run");
+        resumable(&des, &cfg, Jobs::serial(), &path).expect("first run");
         let other = CampaignConfig { trials: 17, ..CampaignConfig::default() };
-        let err = run_campaign_resumable(&des, &other, Jobs::serial(), &path)
+        let err = resumable(&des, &other, Jobs::serial(), &path)
             .expect_err("config change must not resume");
         assert!(matches!(err, CampaignError::Mismatch { .. }), "{err}");
         assert!(err.to_string().contains("different configuration"));
@@ -679,8 +489,7 @@ mod tests {
         let des = small_des();
         let cfg = CampaignConfig { trials: 4, ..CampaignConfig::default() };
         let path = PathBuf::from("/nonexistent-dir/never/campaign.ckpt");
-        let err =
-            run_campaign_resumable(&des, &cfg, Jobs::serial(), &path).expect_err("unwritable path");
+        let err = resumable(&des, &cfg, Jobs::serial(), &path).expect_err("unwritable path");
         assert!(matches!(err, CampaignError::Io { .. }), "{err}");
     }
 }

@@ -1,11 +1,11 @@
 //! The experiment implementations behind every figure and table.
 
-use emask_attack::cpa::{cpa_recover_subkey, cpa_recover_subkey_par, CpaConfig, CpaResult};
+use emask_attack::cpa::{cpa_recover_subkey_par, CpaConfig, CpaResult};
 use emask_attack::dpa::{
-    recover_subkey_multibit, recover_subkey_multibit_par, DpaConfig, DpaResult,
+    dpa_campaign, guess_ranks, plaintext_for, recover_subkey_multibit_par, DpaConfig, DpaResult,
 };
+use emask_attack::online::{OnlineDpa, OnlineWelch};
 use emask_attack::spa::{detect_rounds, SpaReport};
-use emask_attack::stats::{welch_t, TraceMatrix};
 use emask_core::desgen::DesProgramSpec;
 use emask_core::{EnergyParams, EnergyTrace, MaskPolicy, MaskedDes, Phase, SecureStyle};
 use emask_cpu::Cpu;
@@ -14,11 +14,12 @@ use emask_des::KeySchedule;
 use emask_energy::EnergyModel;
 use emask_energy::{FunctionalUnit, UnitState};
 use emask_isa::OpClass;
-use emask_par::Jobs;
-use emask_telemetry::NullSink;
+use emask_par::{fold_sharded, trial_seed, CancelToken, Interrupted, Jobs};
+use emask_telemetry::{Event, EventSink, NullSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::ops::Range;
 
 /// The paper's evaluation key (the classic FIPS walk-through key) and
 /// plaintext.
@@ -217,60 +218,125 @@ impl fmt::Display for DpaOutcome {
     }
 }
 
-/// Runs the round-1 DPA of §1 against the simulated device under the given
-/// policy. Traces are windowed to round 1 (where the targeted intermediate
-/// lives) to keep the trace matrix small.
-pub fn dpa_attack(policy: MaskPolicy, rounds: usize, samples: usize, sbox: usize) -> DpaOutcome {
+/// The device a round-1 attack targets: `policy` compiled at `rounds`,
+/// and the cycle window of round 1 (where the attacked intermediate
+/// lives) on its probe run.
+fn round1_device(policy: MaskPolicy, rounds: usize) -> (MaskedDes, Range<usize>) {
     let des = compile(policy, rounds);
     let window = des
         .encrypt(PLAINTEXT, KEY)
         .expect("probe run")
         .phase_window(Phase::Round(1))
         .expect("round 1");
-    let oracle = |plaintext: u64| -> Vec<f64> {
-        let run = des.encrypt(plaintext, KEY).expect("oracle run");
-        run.trace.window(window.clone()).samples().to_vec()
-    };
-    let cfg = DpaConfig { samples, sbox, bit: 0, seed: 0xE5CA_1ADE };
-    let result = recover_subkey_multibit(oracle, &cfg);
-    let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
-    // Recovery = the right guess wins with a physically meaningful peak.
-    // In a noise-free simulator the margin over the runner-up converges to
-    // a constant set by DES's well-known ghost-peak correlations (wrong
-    // guesses whose predictions correlate with other intermediate bits),
-    // so a large-margin criterion is wrong here; the peak floor is what
-    // separates a real leak from the ~0 peaks of a masked device.
-    let best = result.peaks[result.best_guess as usize];
-    let recovered = result.best_guess == true_subkey && result.margin > 1.0 && best > 0.5;
-    DpaOutcome { true_subkey, result, recovered }
+    (des, window)
 }
 
-/// [`dpa_attack`] with trace acquisition sharded across `jobs` worker
-/// threads, each driving the shared compiled simulator through
-/// [`MaskedDes::trace_oracle`] and folding traces into single-pass
-/// accumulators. Plaintexts are seeded per trial, so the verdict is
-/// identical for any `jobs` value (but uses a different trace set than the
-/// sequential-RNG [`dpa_attack`]).
-pub fn dpa_attack_par(
+/// The round-1 attack verdict: the true subkey slice of `sbox`, and
+/// whether the attack singled it out with a peak above `floor`.
+///
+/// In a noise-free simulator the margin over the runner-up converges to a
+/// constant set by DES's well-known ghost-peak correlations (wrong
+/// guesses whose predictions correlate with other intermediate bits), so
+/// a large-margin criterion is wrong here; the peak floor is what
+/// separates a real leak from the ~0 peaks of a masked device.
+fn round1_verdict(
+    peaks: &[f64; 64],
+    best_guess: u8,
+    margin: f64,
+    sbox: usize,
+    floor: f64,
+) -> (u8, bool) {
+    let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
+    let recovered = best_guess == true_subkey && margin > 1.0 && peaks[best_guess as usize] > floor;
+    (true_subkey, recovered)
+}
+
+/// Runs the round-1 multi-bit DPA of §1 against the simulated device under
+/// `policy`, with traces windowed to round 1 and acquisition sharded
+/// across `jobs` workers: each worker drives the shared compiled simulator
+/// through [`MaskedDes::trace_oracle`] and folds its traces into
+/// single-pass accumulators. Plaintexts are seeded per trial, so the
+/// verdict is identical for any `jobs` value.
+///
+/// With an active `sink` the campaign streams live convergence: a
+/// [`Event::CampaignStarted`] header, an [`Event::DpaConvergence`] every
+/// `cadence` traces (plus once at the end; `cadence == 0` emits the final
+/// snapshot only) carrying the best guess, its peak, the best/runner-up
+/// margin and the 64-guess key-rank vector, operational
+/// [`Event::TrialCompleted`] heartbeats, and a
+/// [`Event::CampaignCompleted`] trailer. The replayable events come from
+/// the ordered fold's snapshot ladder, so they are byte-identical at any
+/// `jobs` count. With [`NullSink`] nothing is emitted and no snapshots
+/// are taken.
+///
+/// `token` is checked at every trial boundary: a trip stops the attack
+/// with a typed [`Interrupted`], the replayable events already emitted
+/// are a byte-identical prefix of the uninterrupted stream, and no
+/// trailer is emitted — a supervisor records the outcome instead, and a
+/// rerun recomputes the same verdict from the same seeds.
+///
+/// # Errors
+///
+/// [`Interrupted`] if the token trips before every trace has been folded.
+#[allow(clippy::too_many_arguments)]
+pub fn dpa_attack<S: EventSink>(
     policy: MaskPolicy,
     rounds: usize,
     samples: usize,
     sbox: usize,
     jobs: Jobs,
-) -> DpaOutcome {
-    let des = compile(policy, rounds);
-    let window = des
-        .encrypt(PLAINTEXT, KEY)
-        .expect("probe run")
-        .phase_window(Phase::Round(1))
-        .expect("round 1");
+    cadence: usize,
+    token: &CancelToken,
+    sink: &S,
+) -> Result<DpaOutcome, Interrupted> {
+    let (des, window) = round1_device(policy, rounds);
     let oracle = des.trace_oracle(KEY, window);
     let cfg = DpaConfig { samples, sbox, bit: 0, seed: 0xE5CA_1ADE };
-    let result = recover_subkey_multibit_par(&oracle, &cfg, jobs);
-    let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
-    let best = result.peaks[result.best_guess as usize];
-    let recovered = result.best_guess == true_subkey && result.margin > 1.0 && best > 0.5;
-    DpaOutcome { true_subkey, result, recovered }
+    if S::ACTIVE {
+        sink.emit(Event::CampaignStarted {
+            experiment: "dpa".into(),
+            trials: samples as u64,
+            seed: cfg.seed,
+            cadence: cadence as u64,
+        });
+    }
+    let result = dpa_campaign(
+        &OnlineDpa::multibit(cfg.sbox, cfg.bit),
+        samples,
+        jobs,
+        if S::ACTIVE { cadence } else { 0 },
+        token,
+        |i| {
+            let p = plaintext_for(cfg.seed, i as u64);
+            let trace = oracle(p);
+            if S::ACTIVE {
+                sink.emit(Event::TrialCompleted { trial: i as u64 });
+            }
+            (p, trace)
+        },
+        |trials, r| {
+            if S::ACTIVE {
+                sink.emit(Event::DpaConvergence {
+                    trials: trials as u64,
+                    best_guess: r.best_guess,
+                    best_peak: r.peaks[r.best_guess as usize],
+                    margin: r.margin,
+                    peak_cycle: r.peak_cycles[r.best_guess as usize] as u64,
+                    ranks: guess_ranks(&r.peaks).to_vec(),
+                });
+            }
+        },
+    )?;
+    if S::ACTIVE {
+        sink.emit(Event::CampaignCompleted {
+            trials: samples as u64,
+            dropped_events: sink.dropped(),
+            dropped_by_kind: sink.dropped_by_kind(),
+        });
+    }
+    let (true_subkey, recovered) =
+        round1_verdict(&result.peaks, result.best_guess, result.margin, sbox, 0.5);
+    Ok(DpaOutcome { true_subkey, result, recovered })
 }
 
 /// Outcome of a CPA campaign against the simulator.
@@ -298,48 +364,28 @@ impl fmt::Display for CpaOutcome {
 }
 
 /// Runs Hamming-weight CPA (an attack one generation past the paper)
-/// against the simulated device under `policy`.
-pub fn cpa_attack(policy: MaskPolicy, rounds: usize, samples: usize, sbox: usize) -> CpaOutcome {
-    let des = compile(policy, rounds);
-    let window = des
-        .encrypt(PLAINTEXT, KEY)
-        .expect("probe run")
-        .phase_window(Phase::Round(1))
-        .expect("round 1");
-    let oracle = |plaintext: u64| -> Vec<f64> {
-        let run = des.encrypt(plaintext, KEY).expect("oracle run");
-        run.trace.window(window.clone()).samples().to_vec()
-    };
-    let cfg = CpaConfig { samples, sbox, seed: 0xCAFE };
-    let result = cpa_recover_subkey(oracle, &cfg);
-    let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
-    let best = result.peaks[result.best_guess as usize];
-    let recovered = result.best_guess == true_subkey && result.margin > 1.0 && best > 0.2;
-    CpaOutcome { true_subkey, result, recovered }
-}
-
-/// [`cpa_attack`] with trace acquisition sharded across `jobs` worker
-/// threads; see [`dpa_attack_par`] for the seeding and sharing contract.
-pub fn cpa_attack_par(
+/// against the simulated device under `policy`, with the round-1 window,
+/// sharding and seeding of [`dpa_attack`] and its trial-boundary
+/// cancellation. CPA streams no events.
+///
+/// # Errors
+///
+/// [`Interrupted`] if the token trips before every trace has been folded.
+pub fn cpa_attack(
     policy: MaskPolicy,
     rounds: usize,
     samples: usize,
     sbox: usize,
     jobs: Jobs,
-) -> CpaOutcome {
-    let des = compile(policy, rounds);
-    let window = des
-        .encrypt(PLAINTEXT, KEY)
-        .expect("probe run")
-        .phase_window(Phase::Round(1))
-        .expect("round 1");
+    token: &CancelToken,
+) -> Result<CpaOutcome, Interrupted> {
+    let (des, window) = round1_device(policy, rounds);
     let oracle = des.trace_oracle(KEY, window);
     let cfg = CpaConfig { samples, sbox, seed: 0xCAFE };
-    let result = cpa_recover_subkey_par(&oracle, &cfg, jobs);
-    let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
-    let best = result.peaks[result.best_guess as usize];
-    let recovered = result.best_guess == true_subkey && result.margin > 1.0 && best > 0.2;
-    CpaOutcome { true_subkey, result, recovered }
+    let result = cpa_recover_subkey_par(&oracle, &cfg, jobs, token)?;
+    let (true_subkey, recovered) =
+        round1_verdict(&result.peaks, result.best_guess, result.margin, sbox, 0.2);
+    Ok(CpaOutcome { true_subkey, result, recovered })
 }
 
 /// Energy attributed to the instruction class executing in EX each cycle
@@ -460,20 +506,11 @@ pub fn coupling_study(rounds: usize, samples: usize, coupling_cap_pf: f64) -> Co
         .expect("probe")
         .phase_window(Phase::Round(1))
         .expect("round 1");
-    let oracle = |plaintext: u64| -> Vec<f64> {
-        coupled
-            .encrypt(plaintext, KEY)
-            .expect("oracle run")
-            .trace
-            .window(window.clone())
-            .samples()
-            .to_vec()
-    };
     let cfg = DpaConfig { samples, sbox: 0, bit: 0, seed: 0xC0DE };
-    let result = recover_subkey_multibit(oracle, &cfg);
-    let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(0);
-    let best = result.peaks[result.best_guess as usize];
-    let recovered = result.best_guess == true_subkey && result.margin > 1.0 && best > 0.1;
+    let result =
+        recover_subkey_multibit_par(&coupled.trace_oracle(KEY, window), &cfg, Jobs::serial());
+    let (true_subkey, recovered) =
+        round1_verdict(&result.peaks, result.best_guess, result.margin, 0, 0.1);
     CouplingReport {
         leak_without_coupling_pj: leak_without,
         leak_with_coupling_pj: leak_with,
@@ -499,22 +536,14 @@ pub struct SweepPoint {
 /// "to an infeasible number" — here to infinity, since the masked peaks
 /// are identically zero at any trace count.
 pub fn dpa_sample_sweep(policy: MaskPolicy, rounds: usize, counts: &[usize]) -> Vec<SweepPoint> {
-    let des = compile(policy, rounds);
-    let window = des
-        .encrypt(PLAINTEXT, KEY)
-        .expect("probe run")
-        .phase_window(Phase::Round(1))
-        .expect("round 1");
+    let (des, window) = round1_device(policy, rounds);
+    let oracle = des.trace_oracle(KEY, window);
     let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(0);
     counts
         .iter()
         .map(|&samples| {
-            let oracle = |plaintext: u64| -> Vec<f64> {
-                let run = des.encrypt(plaintext, KEY).expect("oracle run");
-                run.trace.window(window.clone()).samples().to_vec()
-            };
             let cfg = DpaConfig { samples, sbox: 0, bit: 0, seed: 0x5EED };
-            let result = recover_subkey_multibit(oracle, &cfg);
+            let result = recover_subkey_multibit_par(&oracle, &cfg, Jobs::serial());
             let best_peak = result.peaks[result.best_guess as usize];
             SweepPoint {
                 samples,
@@ -556,25 +585,11 @@ impl fmt::Display for TvlaReport {
     }
 }
 
-/// Runs the fixed-vs-random-key TVLA against the simulator under `policy`,
-/// windowed from the key permutation through the last round (the output
-/// permutation carries the public ciphertext and is excluded by design).
-pub fn tvla(policy: MaskPolicy, rounds: usize, group_size: usize, seed: u64) -> TvlaReport {
-    let des = compile(policy, rounds);
-    let probe = des.encrypt(PLAINTEXT, KEY).expect("probe");
-    let start = probe.phase_window(Phase::KeyPermutation).expect("kp").start;
-    let end = probe.phase_window(Phase::Round(rounds as u8)).expect("last round").end;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut fixed = TraceMatrix::new();
-    let mut random = TraceMatrix::new();
-    for _ in 0..group_size {
-        let f = des.encrypt(PLAINTEXT, KEY).expect("fixed run");
-        fixed.push(f.trace.window(start..end).samples().to_vec());
-        let k: u64 = rng.gen();
-        let r = des.encrypt(PLAINTEXT, k).expect("random run");
-        random.push(r.trace.window(start..end).samples().to_vec());
-    }
-    let t = welch_t(&fixed, &random);
+/// Max |t|, its sample offset, and the count of samples over the 4.5
+/// TVLA threshold — the three numbers every snapshot and the final
+/// report share.
+fn welch_stats(acc: &OnlineWelch) -> (f64, usize, usize) {
+    let t = acc.welch_t();
     let (at_cycle, max_t) =
         t.iter().enumerate().fold(
             (0, 0.0f64),
@@ -587,17 +602,93 @@ pub fn tvla(policy: MaskPolicy, rounds: usize, group_size: usize, seed: u64) -> 
             },
         );
     let leaky_cycles = t.iter().filter(|v| v.abs() >= 4.5).count();
-    TvlaReport { max_t, at_cycle, leaky_cycles, group_size }
+    (max_t, at_cycle, leaky_cycles)
 }
 
-/// [`tvla`] with acquisition sharded across `jobs` workers, folding each
-/// trace pair straight into streaming
-/// [`OnlineWelch`](emask_attack::online::OnlineWelch) accumulators — no
-/// trace matrix is retained, and the per-trial random key is derived from
-/// `(seed, trial index)`, so the report is identical for any `jobs` value
-/// (but uses a different key stream than the sequential-RNG [`tvla`]).
-/// This is [`tvla_convergence`](crate::live::tvla_convergence) with no
-/// event sink.
+/// Runs the fixed-vs-random-key TVLA against the simulator under `policy`,
+/// windowed from the key permutation through the last round (the output
+/// permutation carries the public ciphertext and is excluded by design).
+///
+/// Acquisition is sharded across `jobs` workers, folding each trace pair
+/// straight into streaming [`OnlineWelch`] accumulators — no trace matrix
+/// is retained — and the random key of trial `i` derives from
+/// `(seed, i)`, so the report is identical for any `jobs` value.
+///
+/// With an active `sink`, every `cadence` trace pairs the snapshot ladder
+/// recomputes Welch's *t* from the merged accumulators and emits an
+/// [`Event::TvlaConvergence`] — the traces-to-detection curve — between
+/// the header and trailer, with the streaming and cancellation contract
+/// of [`dpa_attack`].
+///
+/// # Errors
+///
+/// [`Interrupted`] if the token trips before every trace pair has been
+/// folded.
+#[allow(clippy::too_many_arguments)]
+pub fn tvla<S: EventSink>(
+    policy: MaskPolicy,
+    rounds: usize,
+    group_size: usize,
+    seed: u64,
+    jobs: Jobs,
+    cadence: usize,
+    token: &CancelToken,
+    sink: &S,
+) -> Result<TvlaReport, Interrupted> {
+    let des = compile(policy, rounds);
+    let probe = des.encrypt(PLAINTEXT, KEY).expect("probe");
+    let start = probe.phase_window(Phase::KeyPermutation).expect("kp").start;
+    let end = probe.phase_window(Phase::Round(rounds as u8)).expect("last round").end;
+    if S::ACTIVE {
+        sink.emit(Event::CampaignStarted {
+            experiment: "tvla".into(),
+            trials: group_size as u64,
+            seed,
+            cadence: cadence as u64,
+        });
+    }
+    let acc = fold_sharded(
+        jobs,
+        group_size,
+        if S::ACTIVE { cadence } else { 0 },
+        token,
+        &OnlineWelch::new(),
+        |acc: &mut OnlineWelch, i| {
+            let f = des.encrypt(PLAINTEXT, KEY).expect("fixed run");
+            acc.g0.push(f.trace.window(start..end).samples()).expect("aligned traces");
+            let k: u64 = StdRng::seed_from_u64(trial_seed(seed, i as u64)).gen();
+            let r = des.encrypt(PLAINTEXT, k).expect("random run");
+            acc.g1.push(r.trace.window(start..end).samples()).expect("aligned traces");
+            if S::ACTIVE {
+                sink.emit(Event::TrialCompleted { trial: i as u64 });
+            }
+        },
+        |a, b| a.merge(b).expect("aligned shards"),
+        |trials, acc| {
+            if S::ACTIVE {
+                let (max_t, at_cycle, leaky_cycles) = welch_stats(acc);
+                sink.emit(Event::TvlaConvergence {
+                    trials: trials as u64,
+                    max_t,
+                    at_cycle: at_cycle as u64,
+                    leaky_cycles: leaky_cycles as u64,
+                });
+            }
+        },
+    )?
+    .unwrap_or_default();
+    if S::ACTIVE {
+        sink.emit(Event::CampaignCompleted {
+            trials: group_size as u64,
+            dropped_events: sink.dropped(),
+            dropped_by_kind: sink.dropped_by_kind(),
+        });
+    }
+    let (max_t, at_cycle, leaky_cycles) = welch_stats(&acc);
+    Ok(TvlaReport { max_t, at_cycle, leaky_cycles, group_size })
+}
+
+/// [`tvla`] uncancelled and without an event stream.
 pub fn tvla_par(
     policy: MaskPolicy,
     rounds: usize,
@@ -605,7 +696,10 @@ pub fn tvla_par(
     seed: u64,
     jobs: Jobs,
 ) -> TvlaReport {
-    crate::live::tvla_convergence(policy, rounds, group_size, seed, jobs, 0, &NullSink)
+    match tvla(policy, rounds, group_size, seed, jobs, 0, &CancelToken::new(), &NullSink) {
+        Ok(report) => report,
+        Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
+    }
 }
 
 /// The ablation studies of the design choices DESIGN.md calls out.
@@ -709,9 +803,45 @@ pub fn ablations(rounds: usize) -> AblationReport {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     // Experiments run at 2 rounds in unit tests; the repro binary runs the
     // full 16 in release mode.
+
+    /// An uncancelled DPA campaign without an event stream.
+    fn dpa(policy: MaskPolicy, rounds: usize, samples: usize, jobs: Jobs) -> DpaOutcome {
+        dpa_attack(policy, rounds, samples, 0, jobs, 0, &CancelToken::new(), &NullSink).unwrap()
+    }
+
+    /// An uncancelled CPA campaign.
+    fn cpa(policy: MaskPolicy, rounds: usize, samples: usize, jobs: Jobs) -> CpaOutcome {
+        cpa_attack(policy, rounds, samples, 0, jobs, &CancelToken::new()).unwrap()
+    }
+
+    /// A sink that records everything, in order.
+    struct Collect(Mutex<Vec<Event>>);
+
+    impl Collect {
+        fn new() -> Self {
+            Collect(Mutex::new(Vec::new()))
+        }
+
+        fn replayable_jsonl(&self) -> String {
+            self.0
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|e| e.is_replayable())
+                .map(|e| e.to_json() + "\n")
+                .collect()
+        }
+    }
+
+    impl EventSink for Collect {
+        fn emit(&self, event: Event) {
+            self.0.lock().unwrap().push(event);
+        }
+    }
 
     #[test]
     fn fig6_trace_has_round_structure() {
@@ -777,13 +907,13 @@ mod tests {
 
     #[test]
     fn dpa_recovers_from_unmasked_device() {
-        let outcome = dpa_attack(MaskPolicy::None, 2, 96, 0);
+        let outcome = dpa(MaskPolicy::None, 2, 96, Jobs::serial());
         assert!(outcome.recovered, "{outcome}");
     }
 
     #[test]
     fn dpa_fails_on_masked_device() {
-        let outcome = dpa_attack(MaskPolicy::Selective, 2, 96, 0);
+        let outcome = dpa(MaskPolicy::Selective, 2, 96, Jobs::serial());
         assert!(!outcome.recovered, "{outcome}");
         // All guesses are indistinguishable on a fully masked round.
         assert!(outcome.result.peaks.iter().all(|&p| p < 1e-6));
@@ -834,18 +964,18 @@ mod tests {
 
     #[test]
     fn cpa_recovers_from_unmasked_and_fails_on_masked() {
-        let unmasked = cpa_attack(MaskPolicy::None, 2, 96, 0);
+        let unmasked = cpa(MaskPolicy::None, 2, 96, Jobs::serial());
         assert!(unmasked.recovered, "{unmasked}");
-        let masked = cpa_attack(MaskPolicy::Selective, 2, 96, 0);
+        let masked = cpa(MaskPolicy::Selective, 2, 96, Jobs::serial());
         assert!(!masked.recovered, "{masked}");
         assert!(masked.result.peaks.iter().all(|&p| p < 1e-6), "{masked}");
     }
 
     #[test]
     fn tvla_flags_the_unmasked_device_and_clears_the_masked_one() {
-        let unmasked = tvla(MaskPolicy::None, 1, 10, 5);
+        let unmasked = tvla_par(MaskPolicy::None, 1, 10, 5, Jobs::serial());
         assert!(unmasked.max_t >= 4.5, "{unmasked}");
-        let masked = tvla(MaskPolicy::Selective, 1, 10, 5);
+        let masked = tvla_par(MaskPolicy::Selective, 1, 10, 5, Jobs::serial());
         assert!(masked.max_t < 4.5, "{masked}");
         assert_eq!(masked.leaky_cycles, 0, "{masked}");
         assert!(masked.to_string().contains("clean"));
@@ -853,18 +983,18 @@ mod tests {
 
     #[test]
     fn parallel_dpa_experiment_recovers_and_ignores_job_count() {
-        let serial = dpa_attack_par(MaskPolicy::None, 1, 96, 0, Jobs::serial());
+        let serial = dpa(MaskPolicy::None, 1, 96, Jobs::serial());
         assert!(serial.recovered, "{serial}");
-        let par = dpa_attack_par(MaskPolicy::None, 1, 96, 0, Jobs::new(4).unwrap());
+        let par = dpa(MaskPolicy::None, 1, 96, Jobs::new(4).unwrap());
         assert_eq!(par.result, serial.result, "jobs must not change the result");
         assert_eq!(par.recovered, serial.recovered);
     }
 
     #[test]
     fn parallel_cpa_experiment_recovers_and_ignores_job_count() {
-        let serial = cpa_attack_par(MaskPolicy::None, 1, 48, 0, Jobs::serial());
+        let serial = cpa(MaskPolicy::None, 1, 48, Jobs::serial());
         assert!(serial.recovered, "{serial}");
-        let par = cpa_attack_par(MaskPolicy::None, 1, 48, 0, Jobs::new(3).unwrap());
+        let par = cpa(MaskPolicy::None, 1, 48, Jobs::new(3).unwrap());
         assert_eq!(par.result, serial.result, "jobs must not change the result");
     }
 
@@ -888,5 +1018,122 @@ mod tests {
         assert!(r.seeds_only_leak_pj > 1.0, "indirect flows leak without slicing");
         let s = r.to_string();
         assert!(s.contains("pre-charged"));
+    }
+
+    #[test]
+    fn dpa_convergence_matches_batch_verdict_and_streams_snapshots() {
+        let sink = Collect::new();
+        let token = CancelToken::new();
+        let live = dpa_attack(MaskPolicy::None, 1, 96, 0, Jobs::new(4).unwrap(), 32, &token, &sink)
+            .unwrap();
+        let batch = dpa(MaskPolicy::None, 1, 96, Jobs::serial());
+        assert_eq!(live.result, batch.result, "snapshot ladder must not change the verdict");
+        assert!(live.recovered, "{live}");
+
+        let events = sink.0.lock().unwrap();
+        let snaps: Vec<(u64, u8)> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::DpaConvergence { trials, best_guess, ranks, .. } => {
+                    assert_eq!(ranks.len(), 64);
+                    assert_eq!(ranks[*best_guess as usize], 0, "leader has rank 0");
+                    Some((*trials, *best_guess))
+                }
+                _ => None,
+            })
+            .collect();
+        // Cadence 32 over 96 traces: snapshots at 32, 64, 96.
+        assert_eq!(snaps.iter().map(|s| s.0).collect::<Vec<_>>(), vec![32, 64, 96]);
+        assert_eq!(snaps.last().unwrap().1, live.result.best_guess);
+        assert!(matches!(events.first(), Some(Event::CampaignStarted { .. })));
+        assert!(matches!(events.last(), Some(Event::CampaignCompleted { .. })));
+    }
+
+    #[test]
+    fn dpa_replayable_stream_is_byte_identical_across_jobs() {
+        let streams: Vec<String> = [1, 4, 7]
+            .into_iter()
+            .map(|j| {
+                let sink = Collect::new();
+                let jobs = Jobs::new(j).unwrap();
+                dpa_attack(MaskPolicy::None, 1, 64, 0, jobs, 16, &CancelToken::new(), &sink)
+                    .unwrap();
+                sink.replayable_jsonl()
+            })
+            .collect();
+        assert_eq!(streams[0], streams[1]);
+        assert_eq!(streams[0], streams[2]);
+        assert!(streams[0].lines().count() >= 2 + 4, "header, 4 snapshots, trailer");
+    }
+
+    #[test]
+    fn tvla_convergence_matches_batch_report() {
+        let sink = Collect::new();
+        let token = CancelToken::new();
+        let live =
+            tvla(MaskPolicy::None, 1, 8, 5, Jobs::new(4).unwrap(), 4, &token, &sink).unwrap();
+        let batch = tvla_par(MaskPolicy::None, 1, 8, 5, Jobs::serial());
+        assert_eq!(live.max_t.to_bits(), batch.max_t.to_bits(), "bit-identical t");
+        assert_eq!(live.at_cycle, batch.at_cycle);
+        assert_eq!(live.leaky_cycles, batch.leaky_cycles);
+        assert!(live.max_t >= 4.5, "{live}");
+
+        let events = sink.0.lock().unwrap();
+        let snap_trials: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::TvlaConvergence { trials, .. } => Some(*trials),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(snap_trials, vec![4, 8]);
+    }
+
+    #[test]
+    fn cancelled_dpa_convergence_streams_a_replayable_prefix() {
+        // Reference: the full uninterrupted replayable stream.
+        let full_sink = Collect::new();
+        let jobs = Jobs::serial();
+        dpa_attack(MaskPolicy::None, 1, 96, 0, jobs, 32, &CancelToken::new(), &full_sink).unwrap();
+        let full = full_sink.replayable_jsonl();
+
+        // Cancel from inside the snapshot ladder after the first snapshot.
+        let token = CancelToken::new();
+        let sink = Collect::new();
+        struct CancelOnSnapshot<'a> {
+            inner: &'a Collect,
+            token: &'a CancelToken,
+        }
+        impl EventSink for CancelOnSnapshot<'_> {
+            fn emit(&self, event: Event) {
+                let snap = matches!(event, Event::DpaConvergence { .. });
+                self.inner.emit(event);
+                if snap {
+                    self.token.cancel(emask_par::CancelReason::Cancelled);
+                }
+            }
+        }
+        let cancelling = CancelOnSnapshot { inner: &sink, token: &token };
+        let err = dpa_attack(MaskPolicy::None, 1, 96, 0, jobs, 32, &token, &cancelling)
+            .expect_err("tripped token must interrupt");
+        assert_eq!(err.reason, emask_par::CancelReason::Cancelled);
+
+        let prefix = sink.replayable_jsonl();
+        assert!(!prefix.is_empty());
+        assert!(
+            full.starts_with(&prefix),
+            "interrupted replayable stream must be a byte-identical prefix"
+        );
+        assert!(!prefix.contains("campaign_completed"), "no trailer on an interrupted run");
+    }
+
+    #[test]
+    fn null_sink_drivers_agree_with_batch() {
+        let token = CancelToken::new();
+        let live =
+            tvla(MaskPolicy::Selective, 1, 6, 5, Jobs::serial(), 0, &token, &NullSink).unwrap();
+        let batch = tvla_par(MaskPolicy::Selective, 1, 6, 5, Jobs::serial());
+        assert_eq!(live.max_t.to_bits(), batch.max_t.to_bits());
+        assert_eq!(live.leaky_cycles, 0, "{live}");
     }
 }

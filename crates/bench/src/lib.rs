@@ -21,19 +21,18 @@
 //! | ablations | pre-charge, gating, slicing | [`experiments::ablations`] |
 //! | `fault` | robustness: fault campaign + dual-rail detection | [`campaign::run_campaign`] |
 //!
-//! The heavyweight campaigns ship `_par` variants
-//! ([`campaign::run_campaign_par`], [`experiments::dpa_attack_par`],
-//! [`experiments::cpa_attack_par`], [`experiments::tvla_par`]) that shard
-//! trials across an `emask-par` worker pool; their reports are
-//! bit-identical for any `--jobs` count.
-//!
-//! The [`live`] module carries the observability layer: `_events` /
-//! `_convergence` drivers that thread an
-//! [`EventSink`](emask_telemetry::EventSink) through the same campaigns,
-//! streaming replayable convergence snapshots (byte-identical at any
-//! `--jobs` count) plus lossy operational progress heartbeats, and the
-//! per-instruction [`live::leakage_attribution`] study behind
-//! `leakage_profile.csv`.
+//! Every campaign has one driver — [`experiments::dpa_attack`],
+//! [`experiments::cpa_attack`], [`experiments::tvla`] and
+//! [`campaign::run_campaign`] — that shards trials across an `emask-par`
+//! worker pool (reports are bit-identical for any `--jobs` count), stops
+//! at trial boundaries when its [`CancelToken`](emask_par::CancelToken)
+//! trips, and, where it streams, threads an
+//! [`EventSink`](emask_telemetry::EventSink) through the campaign:
+//! replayable convergence snapshots (byte-identical at any `--jobs`
+//! count) plus lossy operational progress heartbeats.
+//! [`experiments::tvla_par`] is the plain TVLA report. The [`live`]
+//! module holds the per-instruction [`live::leakage_attribution`] study
+//! behind `leakage_profile.csv`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,23 +46,14 @@ pub mod live;
 pub mod loadgen;
 pub mod service;
 
-pub use campaign::{
-    run_campaign, run_campaign_events, run_campaign_par, CampaignConfig, CampaignReport,
-    FaultOutcome, OUTCOME_COUNT,
-};
-pub use checkpoint::{
-    run_campaign_resumable, run_campaign_resumable_cancellable_events,
-    run_campaign_resumable_events, CampaignCheckpoint, CampaignError,
-};
+pub use campaign::{run_campaign, CampaignConfig, CampaignReport, FaultOutcome, OUTCOME_COUNT};
+pub use checkpoint::{CampaignCheckpoint, CampaignError};
 pub use experiments::{
-    ablations, coupling_study, cpa_attack, cpa_attack_par, dpa_attack, dpa_attack_par,
-    dpa_sample_sweep, energy_by_class, fig6_round_trace, key_differential, masking_overhead_trace,
-    plaintext_differential, policy_totals, spa_rounds, tvla, tvla_par, xor_unit, AblationReport,
-    ClassEnergy, CouplingReport, CpaOutcome, DpaOutcome, PolicyTotals, SweepPoint, TvlaReport,
+    ablations, coupling_study, cpa_attack, dpa_attack, dpa_sample_sweep, energy_by_class,
+    fig6_round_trace, key_differential, masking_overhead_trace, plaintext_differential,
+    policy_totals, spa_rounds, tvla, tvla_par, xor_unit, AblationReport, ClassEnergy,
+    CouplingReport, CpaOutcome, DpaOutcome, PolicyTotals, SweepPoint, TvlaReport,
 };
-pub use live::{
-    dpa_attack_convergence, dpa_attack_convergence_cancellable, leakage_attribution,
-    tvla_convergence, tvla_convergence_cancellable, LeakageComparison,
-};
+pub use live::{leakage_attribution, LeakageComparison};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use service::BenchRunner;

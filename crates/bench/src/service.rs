@@ -2,22 +2,20 @@
 //! onto the deterministic campaign drivers.
 //!
 //! This is the glue the `repro serve` subcommand installs. Every
-//! experiment goes through the *cancellable* driver variants, so the
-//! service's token actually stops work at trial boundaries; the fault
-//! campaign additionally runs through the PR-4 resumable checkpoint at
-//! the job's private `.ckpt` path, which is what makes
+//! experiment's driver takes the service's token, so it actually stops
+//! work at trial boundaries; the fault campaign additionally persists its
+//! resumable checkpoint at the job's private `.ckpt` path, which is what
+//! makes
 //! shutdown→restart→resume byte-identical for long campaigns. Result
 //! CSVs are pure functions of the spec — the supervision history
 //! (cancelled, retried, resumed) never changes a byte of them.
 
-use crate::campaign::CampaignConfig;
-use crate::checkpoint::{run_campaign_resumable_cancellable_events, CampaignError};
-use crate::experiments::{KEY, PLAINTEXT};
+use crate::campaign::{run_campaign, CampaignConfig};
+use crate::checkpoint::CampaignError;
+use crate::experiments::{cpa_attack, dpa_attack, tvla, KEY, PLAINTEXT};
 use crate::live;
-use emask_attack::cpa::{cpa_recover_subkey_par_cancellable, CpaConfig, CpaResult};
 use emask_attack::online::{OnlineCpa, OnlineDpa, OnlineWelch};
-use emask_core::{DesProgramSpec, MaskPolicy, MaskedDes, Phase, RecoveryPolicy};
-use emask_des::KeySchedule;
+use emask_core::{DesProgramSpec, MaskPolicy, MaskedDes, RecoveryPolicy};
 use emask_par::Jobs;
 use emask_serve::{ExperimentRunner, JobCtx, JobSpec, RunStatus};
 use emask_telemetry::{EventSink as _, Span};
@@ -72,6 +70,30 @@ fn device_rounds(experiment: &str, rounds: usize) -> usize {
 /// energy trace (8-byte samples in a vector that may have doubled past
 /// its length) plus the window copy folded into an accumulator.
 const TRACE_BYTES_PER_CYCLE: usize = 24;
+
+/// Heap bytes a fault campaign's simulated core holds per worker besides
+/// its trace: 32 KiB of data memory plus the register file, pipeline
+/// latches and fault hooks.
+const CPU_BYTES: usize = 64 * 1024;
+
+/// Heap bytes a recovering fault trial adds per worker: the rollback
+/// checkpoint's full shadow copy of data memory and its bookkeeping.
+const CHECKPOINT_BYTES: usize = 64 * 1024;
+
+/// Heap bytes one fault trial's classified row costs: the report row,
+/// its copy in the campaign checkpoint, and its line of the rendered
+/// checkpoint text (about 400 B measured).
+const ROW_BYTES: usize = 1024;
+
+/// Heap bytes of the compiled device a fault campaign runs: the program
+/// image and its cycle-limited clone (about 120 KB measured).
+const DEVICE_BYTES: usize = 256 * 1024;
+
+/// Heap bytes of the leakage study besides the trace in flight: the
+/// compiled devices, two per-PC profiles of about 950 instructions each,
+/// the profiler's working maps, and the combined CSV (about 130 KB) —
+/// about 440 KB measured.
+const PROFILE_BYTES: usize = 512 * 1024;
 
 /// Upper bound on the width of the trace window an experiment folds into
 /// its accumulators: round 1 for DPA and CPA, key permutation through the
@@ -134,24 +156,32 @@ impl ExperimentRunner for BenchRunner {
         // its footprint at the experiment's window. Every worker also
         // holds the traces of the trial it is folding (TVLA's fixed and
         // random pair), and the campaign keeps its probe encryption's.
+        // A fault worker holds one trial's trace and core (plus its
+        // rollback checkpoint when recovering) and the campaign keeps
+        // every classified row; the leakage study runs one encryption at
+        // a time next to its profiles.
         let jobs = Jobs::new(spec.jobs).unwrap_or_else(Jobs::serial);
         let accumulators = emask_par::peak_accumulators(jobs, spec.trials, spec.cadence);
         let width = window_estimate(&spec.experiment, spec.rounds);
+        let workers = spec.jobs.min(spec.trials);
         let per_trial = if spec.experiment == "tvla" { 2 } else { 1 };
-        let traces = spec.jobs.min(spec.trials) * per_trial + 1;
+        let traces = workers * per_trial + 1;
         let trace_bytes = TRACE_BYTES_PER_CYCLE
             * trace_len_estimate(device_rounds(&spec.experiment, spec.rounds));
-        let campaign = |footprint: usize| (accumulators * footprint + traces * trace_bytes) as u64;
-        Ok(match spec.experiment.as_str() {
+        let campaign = |footprint: usize| accumulators * footprint + traces * trace_bytes;
+        let bytes = match spec.experiment.as_str() {
             "dpa" => campaign(OnlineDpa::multibit(spec.sbox, 0).footprint(width)),
             "cpa" => campaign(OnlineCpa::new(spec.sbox).footprint(width)),
             "tvla" => campaign(OnlineWelch::new().footprint(width)),
-            // One outcome record per trial plus the recovery journal.
-            "fault" => spec.trials as u64 * 128,
-            // Per-instruction profile, bounded by program length.
-            "leakage" => 1024 * 64,
+            "fault" => {
+                let checkpoint = if spec.recover { CHECKPOINT_BYTES } else { 0 };
+                let per_worker = trace_bytes + CPU_BYTES + checkpoint;
+                DEVICE_BYTES + workers * per_worker + spec.trials * ROW_BYTES
+            }
+            "leakage" => trace_bytes + PROFILE_BYTES,
             _ => unreachable!("filtered above"),
-        })
+        };
+        Ok(bytes as u64)
     }
 
     fn run(&self, spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
@@ -197,14 +227,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                     recovery: spec.recover.then(RecoveryPolicy::default),
                     ..CampaignConfig::default()
                 };
-                match run_campaign_resumable_cancellable_events(
-                    &des,
-                    &cfg,
-                    jobs,
-                    ctx.checkpoint,
-                    ctx.token,
-                    ctx.sink,
-                ) {
+                match run_campaign(&des, &cfg, jobs, Some(ctx.checkpoint), ctx.token, ctx.sink) {
                     Ok(report) => RunStatus::Done { csv: report.csv() },
                     Err(CampaignError::Interrupted(i)) => RunStatus::Interrupted(i),
                     // A torn/corrupt checkpoint heals on retry (the
@@ -218,7 +241,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
             }
             "dpa" => {
                 let rounds = device_rounds("dpa", spec.rounds);
-                match live::dpa_attack_convergence_cancellable(
+                match dpa_attack(
                     policy,
                     rounds,
                     spec.trials,
@@ -244,41 +267,24 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
             }
             "cpa" => {
                 let rounds = device_rounds("cpa", spec.rounds);
-                let des = match compile(policy, rounds) {
-                    Ok(d) => d,
-                    Err(reason) => return RunStatus::Failed { reason, transient: false },
-                };
-                let window = des
-                    .encrypt(PLAINTEXT, KEY)
-                    .expect("probe run")
-                    .phase_window(Phase::Round(1))
-                    .expect("round 1");
-                let oracle = des.trace_oracle(KEY, window);
-                let cfg = CpaConfig { samples: spec.trials, sbox: spec.sbox, seed: 0xCAFE };
-                match cpa_recover_subkey_par_cancellable(&oracle, &cfg, jobs, ctx.token) {
-                    Ok(result) => {
-                        let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(spec.sbox);
-                        let CpaResult { peaks, peak_cycles, best_guess, margin } = result;
-                        let best = peaks[best_guess as usize];
-                        let recovered = best_guess == true_subkey && margin > 1.0 && best > 0.2;
-                        RunStatus::Done {
-                            csv: guesses_csv(
-                                "peak_r",
-                                &peaks,
-                                &peak_cycles,
-                                best_guess,
-                                margin,
-                                true_subkey,
-                                recovered,
-                            ),
-                        }
-                    }
+                match cpa_attack(policy, rounds, spec.trials, spec.sbox, jobs, ctx.token) {
+                    Ok(outcome) => RunStatus::Done {
+                        csv: guesses_csv(
+                            "peak_r",
+                            &outcome.result.peaks,
+                            &outcome.result.peak_cycles,
+                            outcome.result.best_guess,
+                            outcome.result.margin,
+                            outcome.true_subkey,
+                            outcome.recovered,
+                        ),
+                    },
                     Err(i) => RunStatus::Interrupted(i),
                 }
             }
             "tvla" => {
                 let rounds = device_rounds("tvla", spec.rounds);
-                match live::tvla_convergence_cancellable(
+                match tvla(
                     policy,
                     rounds,
                     spec.trials,
@@ -332,8 +338,10 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use emask_core::Phase;
     use emask_par::CancelToken;
     use emask_serve::JobSink;
+    use emask_telemetry::NullSink;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -453,7 +461,8 @@ mod tests {
             recovery: Some(RecoveryPolicy::default()),
             ..CampaignConfig::default()
         };
-        let report = crate::campaign::run_campaign_par(&des, &cfg, Jobs::serial()).unwrap();
+        let report =
+            run_campaign(&des, &cfg, Jobs::serial(), None, &CancelToken::new(), &NullSink).unwrap();
         assert_eq!(csv, report.csv(), "service supervision must not change a byte");
     }
 

@@ -3,14 +3,14 @@
 //! any `--jobs` count, and continuous across a kill + `--resume` of a
 //! checkpointed fault campaign.
 
-use emask_bench::campaign::{run_campaign_events, run_campaign_par, CampaignConfig};
-use emask_bench::checkpoint::{run_campaign_resumable_events, CampaignCheckpoint};
-use emask_bench::live::{dpa_attack_convergence, tvla_convergence};
+use emask_bench::campaign::{run_campaign, CampaignConfig, CampaignReport};
+use emask_bench::checkpoint::CampaignCheckpoint;
+use emask_bench::experiments::{dpa_attack, tvla};
 use emask_core::desgen::DesProgramSpec;
 use emask_core::{MaskPolicy, MaskedDes};
-use emask_par::Jobs;
-use emask_telemetry::{Event, EventBus, EventSink};
-use std::path::PathBuf;
+use emask_par::{CancelToken, Jobs};
+use emask_telemetry::{Event, EventBus, EventSink, NullSink};
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// An ordered in-memory sink.
@@ -42,6 +42,23 @@ fn device() -> MaskedDes {
         .expect("compile 1-round selective device")
 }
 
+/// An uncancelled fault campaign streaming into `sink`.
+fn fault<S: EventSink>(
+    des: &MaskedDes,
+    cfg: &CampaignConfig,
+    jobs: Jobs,
+    checkpoint: Option<&Path>,
+    sink: &S,
+) -> CampaignReport {
+    run_campaign(des, cfg, jobs, checkpoint, &CancelToken::new(), sink).expect("fault campaign")
+}
+
+/// An uncancelled one-round DPA of `samples` traces streaming into `sink`.
+fn dpa<S: EventSink>(samples: usize, jobs: Jobs, cadence: usize, sink: &S) {
+    dpa_attack(MaskPolicy::None, 1, samples, 0, jobs, cadence, &CancelToken::new(), sink)
+        .expect("dpa campaign");
+}
+
 fn tmp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("emask-live-{}-{name}.ckpt", std::process::id()));
@@ -51,7 +68,7 @@ fn tmp_path(name: &str) -> PathBuf {
 #[test]
 fn golden_dpa_jsonl_schema_is_stable() {
     let sink = Collect::new();
-    dpa_attack_convergence(MaskPolicy::None, 1, 48, 0, Jobs::serial(), 16, &sink);
+    dpa(48, Jobs::serial(), 16, &sink);
     let jsonl = sink.replayable_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
     // Header, snapshots at 16/32/48, trailer.
@@ -85,13 +102,18 @@ fn replayable_streams_are_byte_identical_across_jobs() {
         .into_iter()
         .map(|jobs| {
             let jobs = Jobs::new(jobs).unwrap();
-            let fault = Collect::new();
-            run_campaign_events(&des, &cfg, jobs, &fault).expect("fault campaign");
-            let dpa = Collect::new();
-            dpa_attack_convergence(MaskPolicy::None, 1, 48, 0, jobs, 16, &dpa);
-            let tvla = Collect::new();
-            tvla_convergence(MaskPolicy::None, 1, 8, 3, jobs, 4, &tvla);
-            (fault.replayable_jsonl(), dpa.replayable_jsonl(), tvla.replayable_jsonl())
+            let fault_sink = Collect::new();
+            fault(&des, &cfg, jobs, None, &fault_sink);
+            let dpa_sink = Collect::new();
+            dpa(48, jobs, 16, &dpa_sink);
+            let tvla_sink = Collect::new();
+            tvla(MaskPolicy::None, 1, 8, 3, jobs, 4, &CancelToken::new(), &tvla_sink)
+                .expect("tvla campaign");
+            (
+                fault_sink.replayable_jsonl(),
+                dpa_sink.replayable_jsonl(),
+                tvla_sink.replayable_jsonl(),
+            )
         })
         .collect();
     for s in &streams[1..] {
@@ -114,8 +136,8 @@ fn events_path_report_matches_the_plain_parallel_path() {
     let des = device();
     let cfg = CampaignConfig { trials: 40, ..CampaignConfig::default() };
     let sink = Collect::new();
-    let evented = run_campaign_events(&des, &cfg, Jobs::new(4).unwrap(), &sink).expect("events");
-    let plain = run_campaign_par(&des, &cfg, Jobs::serial()).expect("plain");
+    let evented = fault(&des, &cfg, Jobs::new(4).unwrap(), None, &sink);
+    let plain = fault(&des, &cfg, Jobs::serial(), None, &NullSink);
     assert_eq!(evented.csv(), plain.csv(), "the sink must not change the report");
     assert_eq!(evented.counts, plain.counts);
 }
@@ -128,8 +150,7 @@ fn resumed_campaign_stream_is_identical_to_uninterrupted() {
     let _ = std::fs::remove_file(&path);
 
     let full_sink = Collect::new();
-    let full = run_campaign_resumable_events(&des, &cfg, Jobs::serial(), &path, &full_sink)
-        .expect("full run");
+    let full = fault(&des, &cfg, Jobs::serial(), Some(&path), &full_sink);
 
     // Simulate a SIGKILL partway through: drop every other completed
     // shard from the snapshot, then resume with a fresh sink.
@@ -142,9 +163,7 @@ fn resumed_campaign_stream_is_identical_to_uninterrupted() {
     cp.save(&path).expect("save partial");
 
     let resumed_sink = Collect::new();
-    let resumed =
-        run_campaign_resumable_events(&des, &cfg, Jobs::new(4).unwrap(), &path, &resumed_sink)
-            .expect("resumed run");
+    let resumed = fault(&des, &cfg, Jobs::new(4).unwrap(), Some(&path), &resumed_sink);
 
     assert_eq!(resumed.csv(), full.csv());
     assert_eq!(
@@ -186,12 +205,12 @@ fn event_bus_end_to_end_delivers_the_replayable_stream_in_order() {
             }
             out
         });
-        let report = run_campaign_events(&des, &cfg, Jobs::new(4).unwrap(), &bus).expect("run");
+        let report = fault(&des, &cfg, Jobs::new(4).unwrap(), None, &bus);
         bus.close();
         (report, consumer.join().expect("consumer"))
     });
     let direct = Collect::new();
-    run_campaign_events(&des, &cfg, Jobs::new(2).unwrap(), &direct).expect("run");
+    fault(&des, &cfg, Jobs::new(2).unwrap(), None, &direct);
     assert_eq!(jsonl, direct.replayable_jsonl(), "bus transport must preserve the stream");
     assert_eq!(report.total(), 24);
 }

@@ -1,8 +1,8 @@
 //! Admission control must upper-bound what a campaign really allocates.
 //!
 //! This test binary routes every heap allocation through a counting
-//! global allocator and checks each accumulator experiment's peak heap
-//! against `BenchRunner::admit`'s estimate, at one and two workers. All
+//! global allocator and checks each experiment's peak heap against
+//! `BenchRunner::admit`'s estimate, at one and two workers. All
 //! cases run inside one `#[test]` so no other test's allocations share
 //! the counters.
 
@@ -91,32 +91,44 @@ fn peak_heap(spec: &JobSpec, tag: &str) -> usize {
 
 #[test]
 fn measured_peak_heap_stays_within_the_admission_estimate() {
+    // (experiment, rounds, trials, cadence, recover)
     let cases = [
         // 12 one-trial shards: more shards than the fold window holds.
-        ("dpa", 1, 12, 0),
-        ("cpa", 1, 12, 0),
-        ("tvla", 2, 12, 0),
+        ("dpa", 1, 12, 0, false),
+        ("cpa", 1, 12, 0, false),
+        ("tvla", 2, 12, 0, false),
         // 40 trials at cadence 3: snapshot boundaries inside shards.
-        ("tvla", 1, 40, 3),
+        ("tvla", 1, 40, 3, false),
+        // Fault campaigns keep every trial row; recovery adds the
+        // rollback checkpoints of the trials in flight.
+        ("fault", 1, 40, 0, false),
+        ("fault", 1, 40, 0, true),
+        ("fault", 2, 12, 0, false),
+        ("fault", 2, 12, 0, true),
+        // Leakage attribution profiles one policy's traces at a time.
+        ("leakage", 1, 6, 0, false),
+        ("leakage", 2, 6, 0, false),
     ];
-    for (experiment, rounds, trials, cadence) in cases {
+    let mut over = Vec::new();
+    for (experiment, rounds, trials, cadence, recover) in cases {
         for jobs in [1usize, 2] {
             let spec = JobSpec {
                 experiment: experiment.into(),
                 rounds,
                 trials,
                 cadence,
+                recover,
                 jobs,
                 ..JobSpec::default()
             };
-            let tag = format!("{experiment}-r{rounds}-t{trials}-c{cadence}-j{jobs}");
+            let tag = format!("{experiment}-r{rounds}-t{trials}-c{cadence}-rec{recover}-j{jobs}");
             let estimate = BenchRunner.admit(&spec).expect("admissible") as usize;
             let peak = peak_heap(&spec, &tag);
             println!("{tag}: peak {peak} B, estimate {estimate} B");
-            assert!(
-                peak <= estimate,
-                "{tag}: peak heap {peak} B exceeds the estimate {estimate} B"
-            );
+            if peak > estimate {
+                over.push(format!("{tag}: peak heap {peak} B exceeds the estimate {estimate} B"));
+            }
         }
     }
+    assert!(over.is_empty(), "{}", over.join("\n"));
 }

@@ -1,26 +1,35 @@
 //! End-to-end determinism of the parallel execution layer: the fault
 //! campaign and the attack campaigns must produce byte-identical reports
-//! for any `--jobs` count, and the parallel serial path must match the
-//! legacy sequential entry point exactly.
+//! for any `--jobs` count.
 
-use emask_bench::campaign::{run_campaign, run_campaign_par, CampaignConfig};
-use emask_bench::experiments::{dpa_attack_par, tvla_par};
+use emask_bench::campaign::{run_campaign, CampaignConfig, CampaignReport};
+use emask_bench::experiments::{dpa_attack, tvla_par, DpaOutcome};
 use emask_core::desgen::DesProgramSpec;
 use emask_core::{MaskPolicy, MaskedDes};
-use emask_par::Jobs;
+use emask_par::{CancelToken, Jobs};
+use emask_telemetry::NullSink;
 
 fn device() -> MaskedDes {
     MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
         .expect("compile 1-round selective device")
 }
 
+fn fault(des: &MaskedDes, cfg: &CampaignConfig, jobs: Jobs) -> CampaignReport {
+    run_campaign(des, cfg, jobs, None, &CancelToken::new(), &NullSink).expect("fault campaign")
+}
+
+fn dpa(jobs: Jobs) -> DpaOutcome {
+    dpa_attack(MaskPolicy::None, 1, 64, 0, jobs, 0, &CancelToken::new(), &NullSink)
+        .expect("dpa campaign")
+}
+
 #[test]
 fn fault_campaign_is_byte_identical_for_jobs_1_4_and_7() {
     let des = device();
     let cfg = CampaignConfig { trials: 60, ..CampaignConfig::default() };
-    let serial = run_campaign_par(&des, &cfg, Jobs::serial()).expect("serial campaign");
+    let serial = fault(&des, &cfg, Jobs::serial());
     for jobs in [4, 7] {
-        let par = run_campaign_par(&des, &cfg, Jobs::new(jobs).unwrap()).expect("par campaign");
+        let par = fault(&des, &cfg, Jobs::new(jobs).unwrap());
         assert_eq!(par.csv(), serial.csv(), "jobs={jobs} changed the trial rows");
         assert_eq!(par.counts, serial.counts, "jobs={jobs} changed the outcome counts");
         assert_eq!(par.clean_cycles, serial.clean_cycles);
@@ -28,20 +37,10 @@ fn fault_campaign_is_byte_identical_for_jobs_1_4_and_7() {
 }
 
 #[test]
-fn parallel_campaign_serial_path_matches_the_legacy_entry_point() {
-    let des = device();
-    let cfg = CampaignConfig { trials: 40, ..CampaignConfig::default() };
-    let legacy = run_campaign(&des, &cfg).expect("legacy campaign");
-    let par = run_campaign_par(&des, &cfg, Jobs::serial()).expect("par campaign");
-    assert_eq!(par.csv(), legacy.csv());
-    assert_eq!(par.counts, legacy.counts);
-}
-
-#[test]
 fn dpa_experiment_peaks_are_bit_identical_across_job_counts() {
-    let serial = dpa_attack_par(MaskPolicy::None, 1, 64, 0, Jobs::serial());
+    let serial = dpa(Jobs::serial());
     for jobs in [4, 7] {
-        let par = dpa_attack_par(MaskPolicy::None, 1, 64, 0, Jobs::new(jobs).unwrap());
+        let par = dpa(Jobs::new(jobs).unwrap());
         assert_eq!(par.result.best_guess, serial.result.best_guess);
         for (a, b) in par.result.peaks.iter().zip(&serial.result.peaks) {
             assert_eq!(a.to_bits(), b.to_bits(), "jobs={jobs} perturbed a peak");

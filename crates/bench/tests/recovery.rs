@@ -8,14 +8,16 @@
 //! and kill/resume are covered by the crate's unit tests and by the
 //! 4-job campaign test below.
 
-use emask_bench::campaign::{run_campaign_par, CampaignConfig, FaultOutcome};
+use emask_bench::campaign::{run_campaign, CampaignConfig, CampaignReport, FaultOutcome};
+use emask_bench::checkpoint::CampaignError;
 use emask_core::desgen::DesProgramSpec;
 use emask_core::{CheckpointCadence, MaskPolicy, MaskedDes, RecoveryPolicy, RunError};
 use emask_cpu::{CpuErrorKind, FaultLane, RailMode};
 use emask_fault::{
     DualRailChecker, FaultInjector, FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger,
 };
-use emask_par::Jobs;
+use emask_par::{CancelToken, Jobs};
+use emask_telemetry::NullSink;
 
 const PLAINTEXT: u64 = 0x0123_4567_89AB_CDEF;
 const KEY: u64 = 0x1334_5779_9BBC_DFF1;
@@ -23,6 +25,15 @@ const KEY: u64 = 0x1334_5779_9BBC_DFF1;
 fn device() -> MaskedDes {
     MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
         .expect("compile 1-round selective device")
+}
+
+/// An uncancelled, unobserved, in-memory fault campaign.
+fn campaign(
+    des: &MaskedDes,
+    cfg: &CampaignConfig,
+    jobs: Jobs,
+) -> Result<CampaignReport, CampaignError> {
+    run_campaign(des, cfg, jobs, None, &CancelToken::new(), &NullSink)
 }
 
 /// A transient single-rail strike timed to hit a secure store while its
@@ -116,8 +127,8 @@ fn recovery_campaign_under_4_jobs_matches_serial_and_covers_detections() {
         recovery: Some(RecoveryPolicy::default()),
         ..CampaignConfig::default()
     };
-    let serial = run_campaign_par(&des, &cfg, Jobs::serial()).expect("serial");
-    let par = run_campaign_par(&des, &cfg, Jobs::new(4).expect("jobs")).expect("4 jobs");
+    let serial = campaign(&des, &cfg, Jobs::serial()).expect("serial");
+    let par = campaign(&des, &cfg, Jobs::new(4).expect("jobs")).expect("4 jobs");
     assert_eq!(par.csv(), serial.csv());
     assert_eq!(par.summary(), serial.summary());
     assert_eq!(par.recovery, serial.recovery);
@@ -136,7 +147,7 @@ fn panicking_trial_in_a_4_job_campaign_is_data_not_fatal() {
         recovery: Some(RecoveryPolicy::default()),
         ..CampaignConfig::default()
     };
-    let report = run_campaign_par(&des, &cfg, Jobs::new(4).expect("jobs")).expect("campaign");
+    let report = campaign(&des, &cfg, Jobs::new(4).expect("jobs")).expect("campaign");
     assert_eq!(report.total(), 24);
     assert_eq!(report.count(FaultOutcome::Panic), 1);
     assert_eq!(report.trials[7].outcome, "panic");

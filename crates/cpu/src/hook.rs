@@ -1,17 +1,17 @@
 //! Pluggable pipeline *hooks* — mutable mid-simulation access to the core.
 //!
-//! Where a [`PipelineObserver`](crate::PipelineObserver) watches the
-//! pipeline, a [`PipelineHook`] may *change* it: every cycle it receives a
-//! [`HookCtx`] with mutable access to the pipeline latches, the register
-//! file and data memory, and after the cycle it may veto the run with a
-//! typed [`CpuErrorKind`]. This is the substrate the `emask-fault` crate
-//! builds its fault injectors and dual-rail integrity checker on.
+//! A [`PipelineHook`] may *change* the pipeline, not only watch it: every
+//! cycle it receives a [`HookCtx`] with mutable access to the pipeline
+//! latches, the register file and data memory, and after the cycle it may
+//! veto the run with a typed [`CpuErrorKind`]. This is the substrate the
+//! `emask-fault` crate builds its fault injectors and dual-rail integrity
+//! checker on.
 //!
-//! Dispatch is **static**, exactly as for observers:
-//! [`crate::Cpu::run_hooked`] is generic over the hook type, so with
-//! [`NullHook`] every callback monomorphizes to an empty inlined function
-//! and the loop compiles down to the plain [`crate::Cpu::run`] loop. A run
-//! with no fault plan installed pays nothing.
+//! Dispatch is **static**: [`crate::Cpu::run_hooked`] is generic over the
+//! hook type, so with [`NullHook`] every callback monomorphizes to an
+//! empty inlined function and the loop compiles down to the plain
+//! [`crate::Cpu::run`] loop. A run with no fault plan installed pays
+//! nothing.
 //!
 //! Hooks compose structurally: `(A, B)` runs both halves in order (`A`'s
 //! state mutations are visible to `B`; `B`'s `after_cycle` only runs if

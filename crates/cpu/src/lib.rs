@@ -49,16 +49,14 @@ pub mod checkpoint;
 pub mod hook;
 pub mod interp;
 pub mod memory;
-pub mod observe;
 pub mod pipeline;
 pub mod regfile;
 
-pub use activity::{BusSample, CycleActivity, ExActivity, MemActivity};
+pub use activity::{Bus, BusSample, CycleActivity, ExActivity, MemActivity};
 pub use backend::{BackendCheckpoint, CpuBackend};
 pub use checkpoint::CpuCheckpoint;
 pub use hook::{FaultLane, HookCtx, LaneView, NullHook, PipelineHook, RailMode};
 pub use interp::{InterpCheckpoint, Interpreter};
 pub use memory::DataMemory;
-pub use observe::{Bus, NullObserver, PipelineObserver};
 pub use pipeline::{Cpu, CpuError, CpuErrorKind, RunResult};
 pub use regfile::RegisterFile;

@@ -1,9 +1,8 @@
 //! The five-stage pipeline and the [`Cpu`] façade.
 
-use crate::activity::{BusSample, CycleActivity, ExActivity, MemActivity};
+use crate::activity::{Bus, BusSample, CycleActivity, ExActivity, MemActivity};
 use crate::hook::{PipelineHook, RailSkew};
 use crate::memory::{AccessError, DataMemory};
-use crate::observe::{Bus, PipelineObserver};
 use crate::regfile::RegisterFile;
 use emask_isa::program::{DATA_BASE, MEM_SIZE, STACK_TOP};
 use emask_isa::{encode, Instruction, Op, OpClass, Program, Reg};
@@ -297,35 +296,9 @@ impl Cpu {
         Ok(self.stats)
     }
 
-    /// Runs to completion, firing [`PipelineObserver`] events every cycle.
-    ///
-    /// Dispatch is static: the call is monomorphized per observer type, so
-    /// [`crate::NullObserver`] makes this identical to [`Cpu::run`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cpu::run`].
-    pub fn run_observed<O: PipelineObserver>(
-        &mut self,
-        max_cycles: u64,
-        obs: &mut O,
-    ) -> Result<RunResult, CpuError> {
-        while !self.halted {
-            if self.cycle >= max_cycles {
-                return Err(CpuError {
-                    cycle: self.cycle,
-                    kind: CpuErrorKind::CycleLimit { limit: max_cycles },
-                });
-            }
-            let activity = self.step()?;
-            crate::observe::dispatch(obs, &activity);
-        }
-        Ok(self.stats)
-    }
-
     /// Runs to completion with a [`PipelineHook`] intervening every cycle.
     ///
-    /// Dispatch is static, exactly as for [`Cpu::run_observed`]: with
+    /// Dispatch is static: the call is monomorphized per hook type, so with
     /// [`crate::NullHook`] every callback inlines to nothing and this is
     /// the [`Cpu::run`] loop.
     ///
@@ -952,7 +925,6 @@ mod tests {
 
     #[test]
     fn error_display_names_every_fault_kind() {
-        use crate::observe::Bus;
         let cases = [
             (
                 CpuErrorKind::Memory(crate::memory::AccessError::Unaligned { addr: 6 }),

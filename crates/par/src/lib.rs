@@ -359,60 +359,20 @@ pub fn shard_plan(n: usize) -> Vec<(usize, Range<usize>)> {
 /// to completion, and only then is the panic re-raised — always the one
 /// from the lowest-indexed panicking shard, so the surfaced panic is
 /// independent of scheduling and worker count. Campaigns that must survive
-/// a panicking trial should wrap the trial body in [`catch_trial`] (or use
-/// [`par_map_caught`]) so the panic becomes a typed [`TrialPanic`] result
-/// instead of reaching this propagation path at all.
+/// a panicking trial should wrap the trial body in [`catch_trial`] so the
+/// panic becomes a typed [`TrialPanic`] result instead of reaching this
+/// propagation path at all.
+///
+/// This is [`run_sharded_cancellable`] under a token nobody cancels.
 pub fn run_sharded<A, F>(jobs: Jobs, n: usize, worker: F) -> Vec<A>
 where
     A: Send,
     F: Fn(usize, Range<usize>) -> A + Sync,
 {
-    /// A shard's accumulator, or the payload of the panic that killed it.
-    type ShardOutcome<A> = Result<A, Box<dyn Any + Send>>;
-    let ranges = shard_ranges(n);
-    if jobs.get() <= 1 || ranges.len() <= 1 {
-        return ranges.into_iter().enumerate().map(|(s, r)| worker(s, r)).collect();
+    match run_sharded_cancellable(jobs, n, &CancelToken::new(), |s, range| Ok(worker(s, range))) {
+        Ok(accs) => accs,
+        Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
     }
-    let threads = jobs.get().min(ranges.len());
-    let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, ShardOutcome<A>)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = ranges.get(s) else { break };
-                        // Catch per shard: a panicking shard must not take
-                        // down its worker thread (and with it every other
-                        // shard queued on that thread).
-                        let result = catch_unwind(AssertUnwindSafe(|| worker(s, range.clone())));
-                        local.push((s, result));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(local) => local,
-                // Unreachable in practice (shard panics are caught above),
-                // but a panic in the scope machinery itself still surfaces.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    tagged.sort_by_key(|&(s, _)| s);
-    // Deterministic propagation: with the shards in index order, the first
-    // Err re-raised is the lowest panicking shard for any jobs count.
-    tagged
-        .into_iter()
-        .map(|(_, r)| match r {
-            Ok(a) => a,
-            Err(payload) => std::panic::resume_unwind(payload),
-        })
-        .collect()
 }
 
 /// Per-shard outcome of a cancellable run.
@@ -459,51 +419,48 @@ where
 {
     type Caught<A> = Result<ShardProgress<A>, Box<dyn Any + Send>>;
     let ranges = shard_ranges(n);
-    let run_one = |s: usize, range: Range<usize>| -> Caught<A> {
-        if token.check().is_err() {
-            return Ok(ShardProgress::NotRun);
+    let next = AtomicUsize::new(0);
+    // Worker `w` pulls shards until none are left; a panicking shard is
+    // caught, so it takes down neither its worker nor the shards queued
+    // behind it.
+    let work = |w: usize| {
+        let mut local: Vec<(usize, Caught<A>)> = Vec::new();
+        // Lease arbitration: excess workers retire at shard boundaries
+        // once the grant shrinks.
+        while token.worker_allowed(w) {
+            let s = next.fetch_add(1, Ordering::Relaxed);
+            let Some(range) = ranges.get(s) else { break };
+            let caught = if token.check().is_err() {
+                Ok(ShardProgress::NotRun)
+            } else {
+                catch_unwind(AssertUnwindSafe(|| match worker(s, range.clone()) {
+                    Ok(acc) => ShardProgress::Completed(acc),
+                    Err(done) => ShardProgress::Partial(done),
+                }))
+            };
+            local.push((s, caught));
         }
-        catch_unwind(AssertUnwindSafe(|| match worker(s, range) {
-            Ok(acc) => ShardProgress::Completed(acc),
-            Err(done) => ShardProgress::Partial(done),
-        }))
+        local
     };
-    let mut tagged: Vec<(usize, Caught<A>)> = if jobs.get() <= 1 || ranges.len() <= 1 {
-        ranges.iter().enumerate().map(|(s, r)| (s, run_one(s, r.clone()))).collect()
+    let threads = jobs.get().min(ranges.len());
+    let mut tagged = if threads <= 1 {
+        work(0)
     } else {
-        let threads = jobs.get().min(ranges.len());
-        let next = AtomicUsize::new(0);
         thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
-                    let (next, ranges, run_one) = (&next, &ranges, &run_one);
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            // Lease arbitration: excess workers retire at
-                            // shard boundaries once the grant shrinks.
-                            if !token.worker_allowed(w) {
-                                break;
-                            }
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(range) = ranges.get(s) else { break };
-                            local.push((s, run_one(s, range.clone())));
-                        }
-                        local
-                    })
+                    let work = &work;
+                    scope.spawn(move || work(w))
                 })
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(local) => local,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
+                .flat_map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
                 .collect()
         })
     };
     tagged.sort_by_key(|&(s, _)| s);
-    // Deterministic panic propagation first, as in `run_sharded`.
+    // Deterministic panic propagation first: the lowest panicking shard.
     let mut outcomes = Vec::with_capacity(tagged.len());
     for (_, caught) in tagged {
         match caught {
@@ -533,9 +490,9 @@ where
     Err(Interrupted { reason: token.reason().unwrap_or(CancelReason::Cancelled), completed_trials })
 }
 
-/// The trial-count boundaries at which [`run_sharded_snapshotted`] emits
-/// a merged snapshot: every positive multiple of `cadence` below `n`,
-/// plus `n` itself (`cadence == 0` means final-only).
+/// The trial-count boundaries at which [`fold_sharded`] emits a merged
+/// snapshot: every positive multiple of `cadence` below `n`, plus `n`
+/// itself (`cadence == 0` means final-only).
 #[must_use]
 pub fn snapshot_boundaries(n: usize, cadence: usize) -> Vec<usize> {
     let mut b = Vec::new();
@@ -552,10 +509,9 @@ pub fn snapshot_boundaries(n: usize, cadence: usize) -> Vec<usize> {
     b
 }
 
-/// The most accumulators [`run_sharded_snapshotted_cancellable`] (and so
-/// [`fold_sharded`]) ever holds at once for `n` trials on `jobs` workers
-/// at snapshot `cadence` — the figure admission control multiplies by an
-/// accumulator's footprint.
+/// The most accumulators [`fold_sharded`] ever holds at once for `n`
+/// trials on `jobs` workers at snapshot `cadence` — the figure admission
+/// control multiplies by an accumulator's footprint.
 ///
 /// The ordered fold keeps one running prefix plus at most one
 /// accumulator per shard in its reorder window, and the window is the
@@ -581,9 +537,13 @@ pub fn peak_accumulators(jobs: Jobs, n: usize, cadence: usize) -> usize {
     window + 1 + snapshots
 }
 
-/// The ordered streaming fold of a sharded run: the trial-level `fold`
-/// applied to every trial of `0..n` across `jobs` workers, with the shard
-/// accumulators merged left to right as they complete.
+/// The ordered streaming fold of a sharded run — the one driver every
+/// accumulator campaign runs on: the trial-level `fold` applied to every
+/// trial of `0..n` across `jobs` workers, with the shard accumulators
+/// merged left to right as they complete, and a **merged snapshot of all
+/// trials `0..b`** handed to `emit(b, &snapshot)` at every trial-count
+/// boundary `b` (see [`snapshot_boundaries`]; `cadence == 0` emits the
+/// final result only).
 ///
 /// Each shard folds its contiguous trial range into a copy of `proto`.
 /// Whenever shards `0..k` have all finished, they are merged into one
@@ -592,39 +552,11 @@ pub fn peak_accumulators(jobs: Jobs, n: usize, cadence: usize) -> usize {
 /// any `jobs` count. A reorder window the size of the worker pool stops a
 /// worker from starting shard `s` until `s < k + workers`, which bounds
 /// the live accumulators at `min(jobs, shards) + 1` (see
-/// [`peak_accumulators`]) instead of one per shard.
-///
-/// A shard merged into the prefix is not dropped: the next shard to start
-/// resets it with [`Clone::clone_from`]`(proto)` and folds into it, so an
-/// accumulator whose `clone_from` keeps its buffers is allocated once per
-/// worker rather than once per shard.
-///
-/// `token` is checked before every trial; cancellation, panics and lease
-/// arbitration behave as in [`run_sharded_snapshotted_cancellable`], of
-/// which this is the snapshot-free case. Returns `Ok(None)` when `n == 0`.
-///
-/// # Errors
-///
-/// [`Interrupted`] when cancellation stopped at least one trial short.
-pub fn fold_sharded<A, F, M>(
-    jobs: Jobs,
-    n: usize,
-    token: &CancelToken,
-    proto: &A,
-    fold: F,
-    merge: M,
-) -> Result<Option<A>, Interrupted>
-where
-    A: Clone + Send + Sync,
-    F: Fn(&mut A, usize) + Sync,
-    M: Fn(&mut A, &A) + Sync,
-{
-    run_sharded_snapshotted_cancellable(jobs, n, 0, token, proto, fold, merge, |_, _| {})
-}
-
-/// [`fold_sharded`] plus a **merged snapshot of all trials `0..b`** at
-/// every trial-count boundary `b` (see [`snapshot_boundaries`]) — the
-/// live convergence feed for long attack campaigns.
+/// [`peak_accumulators`]) instead of one per shard. A shard merged into
+/// the prefix is not dropped: the next shard to start resets it with
+/// [`Clone::clone_from`]`(proto)` and folds into it, so an accumulator
+/// whose `clone_from` keeps its buffers is allocated once per worker
+/// rather than once per shard.
 ///
 /// A boundary on a shard edge snapshots the running prefix itself. A
 /// boundary strictly inside shard `k` needs the prefix over shards
@@ -632,58 +564,22 @@ where
 /// boundary: the worker running shard `k` builds that snapshot on the
 /// spot when the prefix has just reached `k`, and otherwise parks a clone
 /// of its accumulator until it has. Every ready boundary is emitted
-/// *before* the next shard is folded into the prefix, so `emit(b, &snap)`
-/// runs in ascending boundary order, exactly once each, with the float
-/// bracketing of the fixed shard-merge order. The stream is therefore
+/// *before* the next shard is folded into the prefix, so `emit` runs in
+/// ascending boundary order, exactly once each, with the float bracketing
+/// of the fixed shard-merge order. The stream is therefore
 /// **bit-identical for any `jobs` count**, while still being *live*:
-/// boundary `b` emits as soon as the shards below it are in.
+/// boundary `b` emits as soon as the shards below it are in. `emit` runs
+/// under the fold's lock, so a slow `emit` (e.g. a full bounded event
+/// bus) blocks the delivering worker — backpressure, by design, rather
+/// than unbounded buffering.
 ///
-/// `emit` runs under the fold's lock, so a slow `emit` (e.g. a full
-/// bounded event bus) blocks the delivering worker — backpressure, by
-/// design, rather than unbounded buffering.
-///
-/// Returns the final merged accumulator (`None` when `n == 0`). The last
-/// emission, at boundary `n`, carries the same value.
-pub fn run_sharded_snapshotted<A, F, M, E>(
-    jobs: Jobs,
-    n: usize,
-    cadence: usize,
-    proto: &A,
-    fold: F,
-    merge: M,
-    emit: E,
-) -> Option<A>
-where
-    A: Clone + Send + Sync,
-    F: Fn(&mut A, usize) + Sync,
-    M: Fn(&mut A, &A) + Sync,
-    E: Fn(usize, &A) + Sync,
-{
-    match run_sharded_snapshotted_cancellable(
-        jobs,
-        n,
-        cadence,
-        &CancelToken::new(),
-        proto,
-        fold,
-        merge,
-        emit,
-    ) {
-        Ok(acc) => acc,
-        Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
-    }
-}
-
-/// [`run_sharded_snapshotted`] with cooperative cancellation — the
-/// ordered-fold core every other fold entry point delegates to. The
-/// harness checks `token` **before every trial**, so a cancel, deadline,
-/// or shutdown request stops the run at the next trial boundary, and
-/// excess workers retire at shard boundaries when the token's lease
-/// shrinks (worker 0 never does).
-///
-/// On interruption no new shard starts, the accumulators are discarded
-/// and a typed [`Interrupted`] reports the trials folded so far; the
-/// snapshots already emitted stand — they are complete prefixes of the
+/// The harness checks `token` **before every trial**, so a cancel,
+/// deadline, or shutdown request stops the run at the next trial
+/// boundary, and excess workers retire at shard boundaries when the
+/// token's lease shrinks (worker 0 never does). On interruption no new
+/// shard starts, the accumulators are discarded and a typed
+/// [`Interrupted`] reports the trials folded so far; the snapshots
+/// already emitted stand — they are complete prefixes of the
 /// deterministic stream, so an interrupted run's emissions are a
 /// byte-identical prefix of an uninterrupted run's. Cancellation
 /// requested after the last trial has folded (e.g. a deadline expiring
@@ -694,11 +590,14 @@ where
 /// ones finish, and is then re-raised — the lowest-indexed panicking
 /// shard's payload, whatever the worker count.
 ///
+/// Returns the final merged accumulator (`None` when `n == 0`); the last
+/// emission, at boundary `n`, carries the same value.
+///
 /// # Errors
 ///
 /// [`Interrupted`] when cancellation stopped at least one trial short.
 #[allow(clippy::too_many_arguments)]
-pub fn run_sharded_snapshotted_cancellable<A, F, M, E>(
+pub fn fold_sharded<A, F, M, E>(
     jobs: Jobs,
     n: usize,
     cadence: usize,
@@ -1017,20 +916,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// [`par_map`] with per-trial panic isolation: trial `i`'s result is
-/// `Ok(f(i))`, or `Err(TrialPanic)` if `f(i)` panicked. Results come back
-/// in index order, bit-identical for any `jobs` count.
-pub fn par_map_caught<T, F>(jobs: Jobs, n: usize, f: F) -> Vec<Result<T, TrialPanic>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_sharded(jobs, n, |_, range| range.map(|i| catch_trial(i, || f(i))).collect::<Vec<_>>())
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 /// Parallel map over the trial indices `0..n`, returning the results in
 /// index order. A convenience wrapper over [`run_sharded`] for trials
 /// whose per-trial result is kept (campaign rows, collected traces).
@@ -1043,33 +928,6 @@ where
         .into_iter()
         .flatten()
         .collect()
-}
-
-/// [`par_map`] with **per-shard scratch state**: `init(shard_index)` runs
-/// once per shard, and every trial in that shard receives `&mut` access to
-/// the state it built.
-///
-/// This is the entry point for campaigns whose trial body needs an
-/// expensive, reusable engine — e.g. a simulator backend (any
-/// `emask-cpu` `CpuBackend`) constructed once per shard and re-loaded per
-/// trial, rather than rebuilt from scratch `n` times. Determinism is
-/// unchanged from [`par_map`] *provided* `f` leaves no trial-visible
-/// residue in the state (reset/reload per trial): the shard layout is a
-/// pure function of `n`, every shard's trial order is fixed, and results
-/// come back in index order — bit-identical for any `jobs` count.
-pub fn par_map_with<S, T, I, F>(jobs: Jobs, n: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_sharded(jobs, n, |s, range| {
-        let mut state = init(s);
-        range.map(|i| f(&mut state, i)).collect::<Vec<T>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Folds the shard accumulators produced by [`run_sharded`] left-to-right
@@ -1130,34 +988,6 @@ mod tests {
         for jobs in [1usize, 2, 4, 7, 16] {
             let par = par_map(Jobs::new(jobs).expect("nonzero"), 250, f);
             assert_eq!(par, serial, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn par_map_with_reuses_state_within_a_shard_and_stays_deterministic() {
-        // The state factory runs once per shard; the fold sees the same
-        // results for any jobs count as long as each trial resets what it
-        // uses (here the state is a counter we deliberately *don't* leak
-        // into the result beyond the shard-local reuse check).
-        let inits = AtomicU64::new(0);
-        let f = |i: usize| (i as u64).wrapping_mul(31) ^ 7;
-        let serial: Vec<u64> = (0..300).map(f).collect();
-        for jobs in [1usize, 4, 7] {
-            inits.store(0, Ordering::Relaxed);
-            let out = par_map_with(
-                Jobs::new(jobs).expect("nonzero"),
-                300,
-                |_shard| {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    0u64 // per-shard scratch (stands in for a Cpu backend)
-                },
-                |scratch, i| {
-                    *scratch += 1; // reused across the shard's trials
-                    f(i)
-                },
-            );
-            assert_eq!(out, serial, "jobs = {jobs}");
-            assert_eq!(inits.load(Ordering::Relaxed), SHARDS as u64, "one init per shard");
         }
     }
 
@@ -1241,19 +1071,21 @@ mod tests {
     #[test]
     fn all_shards_complete_before_a_panic_propagates() {
         // Shard 5 panics; every other shard must still execute (the panic
-        // is re-raised only after the pool drains).
-        let ran = AtomicU64::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_sharded(Jobs::new(4).expect("nonzero"), 1_000, |s, range| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                if s == 5 {
-                    panic!("shard 5 down");
-                }
-                range.len()
-            })
-        }));
-        assert!(result.is_err());
-        assert_eq!(ran.load(Ordering::Relaxed), SHARDS as u64, "no shard was skipped");
+        // is re-raised only after the pool drains), serial runs included.
+        for jobs in [1usize, 4] {
+            let ran = AtomicU64::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_sharded(Jobs::new(jobs).expect("nonzero"), 1_000, |s, range| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if s == 5 {
+                        panic!("shard 5 down");
+                    }
+                    range.len()
+                })
+            }));
+            assert!(result.is_err(), "jobs = {jobs}");
+            assert_eq!(ran.load(Ordering::Relaxed), SHARDS as u64, "jobs = {jobs}: shard skipped");
+        }
     }
 
     #[test]
@@ -1290,10 +1122,11 @@ mod tests {
     /// Runs the snapshotting fold and returns (snapshot stream, final).
     fn snapshotted_fold(jobs: Jobs, n: usize, cadence: usize) -> (Vec<(usize, u64)>, Option<f64>) {
         let stream = std::sync::Mutex::new(Vec::new());
-        let result = run_sharded_snapshotted(
+        let result = fold_sharded(
             jobs,
             n,
             cadence,
+            &CancelToken::new(),
             &0.1f64,
             |acc, i| {
                 *acc += (i as f64).sqrt() * 1e-3;
@@ -1301,7 +1134,8 @@ mod tests {
             },
             |a, b| *a = *a * 0.5 + b,
             |b, snap: &f64| stream.lock().expect("stream").push((b, snap.to_bits())),
-        );
+        )
+        .expect("never cancelled");
         (stream.into_inner().expect("stream"), result)
     }
 
@@ -1375,10 +1209,11 @@ mod tests {
         // job counts. Here we pin the *semantic* content instead: the
         // snapshot folds exactly the trials 0..b.
         let stream = std::sync::Mutex::new(Vec::new());
-        let _ = run_sharded_snapshotted(
+        fold_sharded(
             Jobs::new(4).expect("nonzero"),
             200,
             64,
+            &CancelToken::new(),
             &Vec::new(),
             |acc: &mut Vec<usize>, i| acc.push(i),
             |a, b| a.extend_from_slice(b),
@@ -1387,7 +1222,8 @@ mod tests {
                 sorted.sort_unstable();
                 stream.lock().expect("stream").push((b, sorted));
             },
-        );
+        )
+        .expect("never cancelled");
         let stream = stream.into_inner().expect("stream");
         assert_eq!(stream.len(), 4); // 64, 128, 192, 200
         for (b, trials) in stream {
@@ -1489,7 +1325,7 @@ mod tests {
         for jobs in [1usize, 4] {
             let token = CancelToken::new();
             let stream = std::sync::Mutex::new(Vec::new());
-            let err = run_sharded_snapshotted_cancellable(
+            let err = fold_sharded(
                 Jobs::new(jobs).expect("jobs"),
                 1000,
                 100,
@@ -1524,7 +1360,7 @@ mod tests {
         let (_, reference) = snapshotted_fold(Jobs::new(3).expect("jobs"), 500, 0);
         let token = CancelToken::new();
         let merges = AtomicUsize::new(0);
-        let result = run_sharded_snapshotted_cancellable(
+        let result = fold_sharded(
             Jobs::new(3).expect("jobs"),
             500,
             0,
@@ -1552,7 +1388,7 @@ mod tests {
     #[test]
     fn expired_deadline_interrupts_the_snapshotted_run() {
         let token = CancelToken::with_deadline(Duration::from_millis(0));
-        let err = run_sharded_snapshotted_cancellable(
+        let err = fold_sharded(
             Jobs::new(4).expect("jobs"),
             300,
             50,
@@ -1663,26 +1499,6 @@ mod tests {
         assert_eq!(p.message, "plain");
     }
 
-    #[test]
-    fn par_map_caught_is_identical_across_job_counts() {
-        let f = |i: usize| {
-            if i % 97 == 13 {
-                panic!("trial {i} bad");
-            }
-            i * 3
-        };
-        let serial: Vec<Result<usize, TrialPanic>> = par_map_caught(Jobs::serial(), 300, f);
-        assert_eq!(serial.len(), 300);
-        assert!(serial[13].is_err() && serial[110].is_err() && serial[207].is_err());
-        assert_eq!(serial.iter().filter(|r| r.is_err()).count(), 3);
-        assert_eq!(serial[0], Ok(0));
-        assert_eq!(serial[110].as_ref().expect_err("panicked").message, "trial 110 bad");
-        for jobs in [2usize, 4, 7] {
-            let par = par_map_caught(Jobs::new(jobs).expect("nonzero"), 300, f);
-            assert_eq!(par, serial, "jobs = {jobs}");
-        }
-    }
-
     /// The non-associative float fold the bit-identity tests use.
     fn float_fold(acc: &mut f64, i: usize) {
         *acc += (i as f64).sqrt() * 1e-3;
@@ -1708,10 +1524,12 @@ mod tests {
                 let folded = fold_sharded(
                     Jobs::new(jobs).expect("nonzero"),
                     n,
+                    0,
                     &CancelToken::new(),
                     &0.1f64,
                     float_fold,
                     float_merge,
+                    |_, _| {},
                 )
                 .expect("never cancelled");
                 assert_eq!(
@@ -1785,10 +1603,11 @@ mod tests {
                 let proto = Counted::new(&census);
                 let jobs = Jobs::new(jobs).expect("nonzero");
                 let snapshots = AtomicUsize::new(0);
-                let result = run_sharded_snapshotted(
+                let result = fold_sharded(
                     jobs,
                     200,
                     cadence,
+                    &CancelToken::new(),
                     &proto,
                     |acc, i| {
                         jitter(i);
@@ -1800,6 +1619,7 @@ mod tests {
                         snapshots.fetch_add(1, Ordering::SeqCst);
                     },
                 )
+                .expect("never cancelled")
                 .expect("non-empty");
                 assert_eq!(result.sum, (0..200).sum::<u64>());
                 drop(result);
@@ -1845,6 +1665,7 @@ mod tests {
                 fold_sharded(
                     Jobs::new(jobs).expect("nonzero"),
                     320,
+                    0,
                     &CancelToken::new(),
                     &0u64,
                     |acc, i| {
@@ -1862,6 +1683,7 @@ mod tests {
                         *acc += i as u64;
                     },
                     |a, b| *a += b,
+                    |_, _| {},
                 )
             }))
             .expect_err("must panic");
@@ -1878,6 +1700,7 @@ mod tests {
             let err = fold_sharded(
                 Jobs::new(jobs).expect("nonzero"),
                 1_000,
+                0,
                 &token,
                 &0u64,
                 |acc, i| {
@@ -1888,6 +1711,7 @@ mod tests {
                     }
                 },
                 |a, b| *a += b,
+                |_, _| {},
             )
             .expect_err("must interrupt");
             assert_eq!(err.reason, CancelReason::Cancelled, "jobs = {jobs}");
@@ -1901,10 +1725,12 @@ mod tests {
         let reference = fold_sharded(
             Jobs::serial(),
             1_000,
+            0,
             &CancelToken::new(),
             &0.1f64,
             float_fold,
             float_merge,
+            |_, _| {},
         )
         .expect("never cancelled");
         for jobs in [2usize, 4] {
@@ -1915,6 +1741,7 @@ mod tests {
             let shrunk = fold_sharded(
                 Jobs::new(jobs).expect("nonzero"),
                 1_000,
+                0,
                 &token,
                 &0.1f64,
                 |acc, i| {
@@ -1924,6 +1751,7 @@ mod tests {
                     float_fold(acc, i);
                 },
                 float_merge,
+                |_, _| {},
             )
             .expect("a shrink never cancels the run");
             assert_eq!(shrunk.map(f64::to_bits), reference.map(f64::to_bits), "jobs = {jobs}");

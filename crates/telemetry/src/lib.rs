@@ -6,10 +6,6 @@
 //! * [`RunObserver`] — the run-level contract: per-cycle activity +
 //!   energy, phase-marker crossings, and final statistics. The unit type
 //!   `()` is the free no-op observer; `(A, B)` composes two observers.
-//!   (`emask-cpu` additionally offers the lower-level
-//!   [`PipelineObserver`](emask_cpu::PipelineObserver) with per-bus
-//!   callbacks, for tools that need microarchitectural detail without the
-//!   energy model.)
 //! * [`MetricsRegistry`] — counters (instruction mix by class, secure vs
 //!   normal retirement, stalls, flushes), a per-cycle energy histogram,
 //!   and per-phase × per-component energy attribution; snapshot into the

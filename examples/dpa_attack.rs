@@ -11,8 +11,9 @@
 //! cargo run --release --example dpa_attack [samples]
 //! ```
 
-use emask::attack::dpa::{recover_subkey_multibit, DpaConfig};
+use emask::attack::dpa::{recover_subkey_multibit_par, DpaConfig};
 use emask::core::desgen::DesProgramSpec;
+use emask::par::Jobs;
 use emask::{KeySchedule, MaskPolicy, MaskedDes, Phase};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,12 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // trace matrix small.
         let des = MaskedDes::compile_spec(policy, &DesProgramSpec { rounds: 2 })?;
         let window = des.encrypt(0, key)?.phase_window(Phase::Round(1)).expect("round 1");
-        let oracle = |plaintext: u64| -> Vec<f64> {
-            let run = des.encrypt(plaintext, key).expect("oracle run");
-            run.trace.window(window.clone()).samples().to_vec()
-        };
         let cfg = DpaConfig { samples, sbox: 0, bit: 0, seed: 1 };
-        let result = recover_subkey_multibit(oracle, &cfg);
+        let result =
+            recover_subkey_multibit_par(&des.trace_oracle(key, window), &cfg, Jobs::auto());
 
         println!("device: {policy}");
         println!("  {result}");

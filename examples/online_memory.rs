@@ -10,7 +10,7 @@
 //! Run it at 1 000 and 10 000 traces and compare the printed `VmHWM`
 //! (peak resident set, Linux): online stays put, `--batch` grows ~10×.
 
-use emask::attack::dpa::{collect_traces, selection_bit, DpaConfig};
+use emask::attack::dpa::{collect_traces_par, selection_bit, DpaConfig};
 use emask::attack::online::OnlineDpa;
 use emask::attack::recover_subkey_par;
 use emask::par::Jobs;
@@ -44,7 +44,7 @@ fn main() {
 
     let result = if batch {
         // The old shape: materialize every trace, then analyze.
-        let (plaintexts, traces) = collect_traces(oracle, samples, cfg.seed);
+        let (plaintexts, traces) = collect_traces_par(&oracle, samples, cfg.seed, Jobs::serial());
         let mut acc = OnlineDpa::single(cfg.sbox, cfg.bit);
         for (p, t) in plaintexts.iter().zip(&traces) {
             acc.push(*p, t).expect("aligned traces");
